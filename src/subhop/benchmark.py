@@ -31,14 +31,6 @@ REFERENCE_SCORES = {
     "hotpotqa": {"em": 56.00, "f1": 64.30},
 }
 
-# Reference ablation arms on HotpotQA from the same published setup.
-REFERENCE_ABLATIONS = {
-    "full": {"em": 56.0, "f1": 64.3},
-    "no_decomposition": {"em": 50.5, "f1": 59.6},
-    "no_rewriting": {"em": 49.5, "f1": 50.2},
-    "no_update": {"em": 54.5, "f1": 63.7},
-}
-
 
 @dataclass(frozen=True)
 class QAExample:

@@ -23,9 +23,10 @@ from .embedders import make_embedder
 from .errors import ConfigError, SubhopError
 from .gateway import Gateway
 from .indexer import build_graph_index, ingest_corpus
+from .kg import KnowledgeGraph, encode_record
 from .remote import RemoteBackend
 from .solver import solve, trace_to_json, write_trace
-from .stores import load_stores, save_stores, snapshot_exists, Stores
+from .stores import GRAPH_FILE, load_stores, save_stores, snapshot_exists, Stores
 from .stub import StubBackend, load_stub_script
 from .templates import TemplateRegistry
 
@@ -116,7 +117,9 @@ def build_gateway(config: Config) -> Gateway:
             timeout=config.request_timeout,
             max_in_flight=config.parallelism,
         )
-    return Gateway(registry, backend, wire_log_path=config.wire_log or None)
+    return Gateway(
+        registry, backend, wire_log_path=config.wire_log or None, max_tokens=config.max_tokens
+    )
 
 
 def question_id_for(question: str) -> str:
@@ -215,9 +218,6 @@ def cmd_graph(args: argparse.Namespace, config: Config) -> int:
     if not snapshot_exists(config.snapshot_dir):
         print(f"error: no snapshot in {config.snapshot_dir}", file=sys.stderr)
         return EXIT_MISSING
-    from .kg import KnowledgeGraph
-    from .stores import GRAPH_FILE
-
     graph = KnowledgeGraph.load(Path(config.snapshot_dir) / GRAPH_FILE)
     if args.graph_command == "stats":
         stats = graph.stats()
@@ -227,10 +227,8 @@ def cmd_graph(args: argparse.Namespace, config: Config) -> int:
         return EXIT_OK
     if args.graph_command == "export":
         if args.format == "json":
-            from .kg import _encode_record
-
             for triple in graph:
-                print(_encode_record(triple))
+                print(encode_record(triple))
         else:
             for triple in graph:
                 print(f"{triple.head}\t{triple.relation}\t{triple.tail}")

@@ -14,12 +14,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 
-from .errors import (
-    BackendError,
-    MissingDependency,
-    StructuredParseError,
-    StubExhausted,
-)
+from .errors import LLM_FAILURES, MissingDependency
 from .gateway import ChatRequest, Gateway
 
 logger = logging.getLogger(__name__)
@@ -27,8 +22,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_MAX_SUBQUESTIONS = 6
 
 PLACEHOLDER_RE = re.compile(r"#(\d+)")
-
-_LLM_FAILURES = (StructuredParseError, BackendError, StubExhausted)
 
 
 class _PlanInvalid(Exception):
@@ -115,7 +108,7 @@ def decompose(question: str, gateway: Gateway,
                         "earlier step"
                     )
         return DecompositionPlan(question, subs, cap, warnings=warnings)
-    except (_PlanInvalid, *_LLM_FAILURES) as exc:
+    except (_PlanInvalid, *LLM_FAILURES) as exc:
         logger.warning("decomposition degraded to single question: %s", exc)
         warnings.append("decompose:degraded")
         return single_question_plan(question, cap, warnings)
@@ -160,7 +153,7 @@ def rewrite(
     )
     try:
         response = gateway.complete(request)
-    except _LLM_FAILURES as exc:
+    except LLM_FAILURES as exc:
         logger.warning("rewrite failed, using literal substitution: %s", exc)
         if events is not None:
             events.append("rewrite:llm_failure")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -118,10 +118,3 @@ def basis_vector(index: int, dimension: int) -> list[float]:
     vec = [0.0] * dimension
     vec[index] = 1.0
     return vec
-
-
-def unique_tokens(texts: Iterable[str]) -> set[str]:
-    out: set[str] = set()
-    for text in texts:
-        out.update(_TOKEN_RE.findall(text.casefold()))
-    return out

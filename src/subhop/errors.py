@@ -48,6 +48,10 @@ class EmbedderMismatch(SubhopError):
     """A persisted index was built with a different embedder."""
 
 
+class CorpusMismatch(SubhopError):
+    """The corpus file differs from the one a snapshot was indexed from."""
+
+
 class TemplateError(SubhopError):
     """A prompt template is unknown or has an unbound placeholder."""
 
@@ -87,6 +91,11 @@ class MissingDependency(SubhopError):
     def __init__(self, index: int):
         super().__init__(f"no answer available for placeholder #{index}")
         self.index = index
+
+
+# LLM failures that degrade a step (UNKNOWN answer, single-step plan)
+# instead of aborting the question.
+LLM_FAILURES = (StructuredParseError, BackendError, StubExhausted)
 
 
 class BudgetExceeded(SubhopError):

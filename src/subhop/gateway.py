@@ -44,8 +44,6 @@ class Backend(Protocol):
 class ChatRequest:
     template_name: str
     variables: Mapping[str, object]
-    temperature: float = 0.0
-    max_tokens: int = 512
     suffix: str = ""
 
 
@@ -100,10 +98,12 @@ class Gateway:
         wire_log_path: str | Path | None = None,
         budget: Budget | None = None,
         _wire_log: _WireLog | None = None,
+        max_tokens: int = 512,
     ):
         self.registry = registry
         self.backend = backend
         self.budget = budget
+        self.max_tokens = max_tokens
         self._wire_log = _wire_log or _WireLog(
             path=Path(wire_log_path) if wire_log_path else None
         )
@@ -116,7 +116,8 @@ class Gateway:
         """A view sharing backend, templates and wire log, but with its own
         call budget. Used to enforce the per-question limit."""
         return Gateway(
-            self.registry, self.backend, budget=Budget(limit), _wire_log=self._wire_log
+            self.registry, self.backend, budget=Budget(limit),
+            _wire_log=self._wire_log, max_tokens=self.max_tokens,
         )
 
     def complete(self, request: ChatRequest) -> ChatResponse:
@@ -131,11 +132,7 @@ class Gateway:
         if self.budget is not None:
             self.budget.spend()
         result = self.backend.send(
-            request.template_name,
-            prompt,
-            request.variables,
-            request.temperature,
-            request.max_tokens,
+            request.template_name, prompt, request.variables, 0.0, self.max_tokens
         )
         response = ChatResponse(
             text=result.text,

@@ -126,9 +126,6 @@ class KnowledgeGraph:
         except KeyError:
             raise UnknownId(triple_id) from None
 
-    def contains_key(self, head: str, relation: str, tail: str) -> bool:
-        return dedup_key(head, relation, tail) in self._key_index
-
     def stats(self) -> GraphStats:
         dynamic = sum(1 for t in self._triples if t.is_dynamic)
         return GraphStats(len(self._triples), len(self._entity_index), dynamic)
@@ -143,7 +140,7 @@ class KnowledgeGraph:
         """
         with open(path, "w", encoding="utf-8") as fh:
             for t in self._triples:
-                fh.write(_encode_record(t))
+                fh.write(encode_record(t))
                 fh.write("\n")
 
     @classmethod
@@ -169,7 +166,8 @@ class KnowledgeGraph:
         return graph
 
 
-def _encode_record(t: Triple) -> str:
+def encode_record(t: Triple) -> str:
+    """One triple as its snapshot line (compact JSON, fixed field order)."""
     record = {
         "id": t.id,
         "head": t.head,

@@ -69,35 +69,35 @@ class RemoteBackend:
         attempts = 0
         last_status = 0
         last_body = ""
-        with self._semaphore:
-            while attempts <= self.retry_limit:
-                attempts += 1
-                try:
-                    request = urllib.request.Request(
-                        self.endpoint, data=payload, headers=headers, method="POST"
-                    )
+        while attempts <= self.retry_limit:
+            attempts += 1
+            try:
+                request = urllib.request.Request(
+                    self.endpoint, data=payload, headers=headers, method="POST"
+                )
+                with self._semaphore:  # held per request, never across a backoff
                     with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                         body = resp.read().decode("utf-8")
-                    return self._parse(body, attempts)
-                except urllib.error.HTTPError as exc:
-                    last_status = exc.code
-                    last_body = exc.read().decode("utf-8", errors="replace")
-                    if exc.code not in _RETRYABLE:
-                        raise BackendError(exc.code, last_body) from None
-                    logger.warning(
-                        "backend returned %s for template %s (attempt %d/%d)",
-                        exc.code, template, attempts, self.retry_limit + 1,
-                    )
-                except (urllib.error.URLError, TimeoutError, OSError) as exc:
-                    last_status = 0
-                    last_body = str(exc)
-                    logger.warning(
-                        "backend unreachable for template %s (attempt %d/%d): %s",
-                        template, attempts, self.retry_limit + 1, exc,
-                    )
-                if attempts <= self.retry_limit:
-                    # delays are nondecreasing: base * 2^(attempt-1)
-                    self._sleep(self.backoff_base * (2 ** (attempts - 1)))
+                return self._parse(body, attempts)
+            except urllib.error.HTTPError as exc:
+                last_status = exc.code
+                last_body = exc.read().decode("utf-8", errors="replace")
+                if exc.code not in _RETRYABLE:
+                    raise BackendError(exc.code, last_body) from None
+                logger.warning(
+                    "backend returned %s for template %s (attempt %d/%d)",
+                    exc.code, template, attempts, self.retry_limit + 1,
+                )
+            except (urllib.error.URLError, TimeoutError, OSError) as exc:
+                last_status = 0
+                last_body = str(exc)
+                logger.warning(
+                    "backend unreachable for template %s (attempt %d/%d): %s",
+                    template, attempts, self.retry_limit + 1, exc,
+                )
+            if attempts <= self.retry_limit:
+                # delays are nondecreasing: base * 2^(attempt-1)
+                self._sleep(self.backoff_base * (2 ** (attempts - 1)))
         raise BackendError(last_status, last_body)
 
     def _parse(self, body: str, attempts: int) -> BackendResult:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,14 +24,7 @@ from .decompose import (
     single_question_plan,
 )
 from .embedders import Embedder
-from .errors import (
-    BackendError,
-    BudgetExceeded,
-    EmptyField,
-    MissingDependency,
-    StructuredParseError,
-    StubExhausted,
-)
+from .errors import LLM_FAILURES, BudgetExceeded, EmptyField, MissingDependency
 from .gateway import ChatRequest, Gateway
 from .indexer import TripleRow, validate_triple_rows
 from .kg import KnowledgeGraph, Triple
@@ -44,8 +36,6 @@ logger = logging.getLogger(__name__)
 UNKNOWN_ANSWER = "UNKNOWN"
 EMPTY_MEMORY_MARKER = "(no evidence retrieved)"
 TRACE_SCHEMA = "question_trace/v1"
-
-_LLM_FAILURES = (StructuredParseError, BackendError, StubExhausted)
 
 
 @dataclass
@@ -97,7 +87,6 @@ class QuestionTrace:
     llm_calls: int = 0
     prompt_tokens: int = 0
     completion_tokens: int = 0
-    elapsed_seconds: float = 0.0  # wall time; excluded from serialization
 
 
 def retrieve_for_subquestion(
@@ -136,7 +125,7 @@ def answer_from_triples(
             expect="object",
             required={"answerable": bool, "answer": str, "used_triple_ids": list},
         )
-    except _LLM_FAILURES:
+    except LLM_FAILURES:
         logger.warning("triple answering failed, treating as unanswerable")
         if events is not None:
             events.append("answer:llm_failure")
@@ -197,7 +186,7 @@ def fallback_answer_from_docs(
             required={"answer": str},
         )
         answer = payload["answer"].strip() or UNKNOWN_ANSWER
-    except _LLM_FAILURES:
+    except LLM_FAILURES:
         logger.warning("document answering failed during fallback")
         if events is not None:
             events.append("fallback:answer_failure")
@@ -206,7 +195,7 @@ def fallback_answer_from_docs(
             ChatRequest("extract_triples", {"document": doc_block}), expect="array"
         )
         event.new_triples = validate_triple_rows(raw)
-    except _LLM_FAILURES:
+    except LLM_FAILURES:
         logger.warning("triple extraction failed during fallback")
         if events is not None:
             events.append("fallback:extract_failure")
@@ -278,7 +267,7 @@ def generate_final_answer(
     )
     try:
         response = gateway.complete(request)
-    except _LLM_FAILURES:
+    except LLM_FAILURES:
         logger.warning("final answer generation failed")
         return UNKNOWN_ANSWER
     return response.text.strip() or UNKNOWN_ANSWER
@@ -300,7 +289,6 @@ def solve(
     """
     gw = gateway.with_budget(config.llm_budget)
     trace = QuestionTrace(question_id=question_id, question=question)
-    started = time.perf_counter()
     try:
         if config.decomposition:
             plan = decompose(question, gw, cap=config.max_subquestions)
@@ -323,21 +311,14 @@ def solve(
             trace.memory = assemble_graph_memory(trace.sub_answers, stores.graph)
         trace.final_answer = generate_final_answer(question, trace.memory, gw)
         trace.status = "ok"
-    except BudgetExceeded as exc:
-        trace.status = "budget_exceeded"
+    except (BudgetExceeded, MissingDependency) as exc:
+        budget = isinstance(exc, BudgetExceeded)
+        trace.status = "budget_exceeded" if budget else "aborted"
         trace.error = str(exc)
         trace.final_answer = UNKNOWN_ANSWER
-        trace.events.append("budget:exceeded")
+        trace.events.append("budget:exceeded" if budget else "dependency:missing")
         with stores.lock.read():
             trace.memory = assemble_graph_memory(trace.sub_answers, stores.graph)
-    except MissingDependency as exc:
-        trace.status = "aborted"
-        trace.error = str(exc)
-        trace.final_answer = UNKNOWN_ANSWER
-        trace.events.append("dependency:missing")
-        with stores.lock.read():
-            trace.memory = assemble_graph_memory(trace.sub_answers, stores.graph)
-    trace.elapsed_seconds = time.perf_counter() - started
     if gw.budget is not None:
         trace.llm_calls = gw.budget.calls
         trace.prompt_tokens = gw.budget.prompt_tokens

@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .embedders import Embedder
-from .errors import EmbedderMismatch, ParseError
+from .errors import CorpusMismatch, EmbedderMismatch, ParseError
 from .indexer import Corpus, ingest_corpus
 from .kg import KnowledgeGraph
 from .vector import VectorIndex
@@ -129,7 +129,8 @@ def load_stores(
     """Rebuild stores from a snapshot directory.
 
     The embedder identity is validated against the manifest; the corpus is
-    re-read from its recorded path unless an override is given.
+    re-read from its recorded path unless an override is given, and must
+    hash to the recorded ``corpus_sha256``.
     """
     root = Path(snapshot_dir)
     manifest = load_manifest(root)
@@ -138,10 +139,12 @@ def load_stores(
             f"snapshot built with {manifest.get('embedder')}/{manifest.get('dimension')}, "
             f"configured {embedder.name}/{embedder.dimension}"
         )
+    source = Path(corpus_path) if corpus_path else Path(manifest.get("corpus_path", ""))
+    if _file_sha256(source) != manifest.get("corpus_sha256"):
+        raise CorpusMismatch(f"corpus {source} changed since the snapshot was indexed")
     graph = KnowledgeGraph.load(root / GRAPH_FILE)
     triple_index = VectorIndex.load(root / TRIPLE_INDEX_FILE, embedder)
     passage_index = VectorIndex.load(root / PASSAGE_INDEX_FILE, embedder)
-    source = Path(corpus_path) if corpus_path else Path(manifest.get("corpus_path", ""))
     corpus = ingest_corpus(source)
     return Stores(
         graph=graph,

@@ -38,21 +38,13 @@ class TemplateRegistry:
     @classmethod
     def load(cls, directory: str | Path | None = None) -> "TemplateRegistry":
         """Load all templates; a missing file fails here, not at call time."""
+        root = Path(directory) if directory else resources.files("subhop") / "templates"
         templates: dict[str, str] = {}
-        if directory is None:
-            root = resources.files("subhop") / "templates"
-            for name in TEMPLATE_NAMES:
-                candidate = root / f"{name}.txt"
-                if not candidate.is_file():
-                    raise MissingTemplate(name)
-                templates[name] = candidate.read_text(encoding="utf-8")
-        else:
-            root = Path(directory)
-            for name in TEMPLATE_NAMES:
-                candidate = root / f"{name}.txt"
-                if not candidate.is_file():
-                    raise MissingTemplate(name)
-                templates[name] = candidate.read_text(encoding="utf-8")
+        for name in TEMPLATE_NAMES:
+            candidate = root / f"{name}.txt"
+            if not candidate.is_file():
+                raise MissingTemplate(name)
+            templates[name] = candidate.read_text(encoding="utf-8")
         return cls(templates)
 
     def __len__(self) -> int:

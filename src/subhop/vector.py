@@ -1,8 +1,8 @@
 """Exact cosine top-k index over verbalized triples and corpus passages.
 
 A deliberate full scan: at the corpus sizes this engine targets an exact
-scan is fast (see benchmarks/bench_topk.py) and keeps ranking exactly
-reproducible. Ties break by ascending key; zero-norm vectors score 0.
+numpy/BLAS scan is fast and keeps ranking exactly reproducible. Ties
+break by ascending key; zero-norm vectors score 0.
 """
 
 from __future__ import annotations
@@ -15,8 +15,23 @@ import numpy as np
 
 from .embedders import Embedder, Embedding
 from .errors import DimensionMismatch, EmbedderMismatch, ParseError
-from .kernels import cosine_scores
 from .kg import Triple
+
+
+def cosine_scores(
+    matrix: np.ndarray, norms: np.ndarray, query: np.ndarray, query_norm: float
+) -> np.ndarray:
+    """Cosine of the query against every row; zero-norm rows or a zero-norm
+    query score 0 instead of NaN."""
+    n = matrix.shape[0]
+    out = np.zeros(n, dtype=np.float64)
+    if n == 0 or query_norm == 0.0:
+        return out
+    dots = matrix @ query
+    denom = norms * query_norm
+    nonzero = denom > 0.0
+    out[nonzero] = dots[nonzero] / denom[nonzero]
+    return out
 
 
 def verbalize_triple(t: Triple) -> str:

@@ -226,6 +226,13 @@ def test_corrupted_snapshot_exits_4(env, capsys):
     assert run(base_args(env, "ask_script") + ["graph", "stats"]) == 4
 
 
+def test_ask_after_corpus_changed_exits_4(env, capsys):
+    do_index(env)
+    write_corpus(env["corpus"], TWO_HOP_CORPUS[:1])
+    assert run(base_args(env, "ask_script") + ["ask", TWO_HOP_QUESTION]) == 4
+    assert "changed since the snapshot was indexed" in capsys.readouterr().err
+
+
 def test_no_arguments_is_usage_error():
     assert run([]) == 2
 

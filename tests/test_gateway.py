@@ -3,6 +3,8 @@ import re
 
 import pytest
 
+from subhop.cli import build_gateway
+from subhop.config import Config
 from subhop.errors import (
     BackendError,
     BudgetExceeded,
@@ -278,6 +280,32 @@ def test_remote_sends_chat_payload_and_auth():
     assert payload["messages"] == [{"role": "user", "content": "the prompt"}]
     assert payload["temperature"] == 0.25
     assert payload["max_tokens"] == 99
+
+
+def test_build_gateway_sends_configured_max_tokens():
+    with MockChatServer([(200, "ok")]) as server:
+        gw = build_gateway(Config(backend="remote", endpoint=server.endpoint, max_tokens=99))
+        gw.with_budget(1).complete(ChatRequest("final_answer", {"question": "q", "memory": "m"}))
+        payload = server.requests[0]
+    assert payload["max_tokens"] == 99
+    assert payload["temperature"] == 0.0
+
+
+def test_remote_frees_in_flight_slot_while_backing_off():
+    free_during_backoff = []
+
+    def sleep(_delay):
+        acquired = backend._semaphore.acquire(blocking=False)
+        if acquired:
+            backend._semaphore.release()
+        free_during_backoff.append(acquired)
+
+    with MockChatServer([(503, "busy"), (503, "busy"), (200, "ok")]) as server:
+        backend = RemoteBackend(
+            endpoint=server.endpoint, model="test-model", max_in_flight=1, sleep=sleep
+        )
+        assert backend.send("final_answer", "p", {}, 0.0, 16).text == "ok"
+    assert free_during_backoff == [True, True]
 
 
 def test_remote_malformed_completion_payload():

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from subhop.embedders import HashedBagEmbedder
-from subhop.errors import DuplicateDocId, ParseError
+from subhop.errors import CorpusMismatch, DuplicateDocId, ParseError
 from subhop.indexer import (
     Document,
     build_graph_index,
@@ -12,9 +12,10 @@ from subhop.indexer import (
     split_for_extraction,
     validate_triple_rows,
 )
+from subhop.stores import load_stores, save_stores
 from subhop.stub import rule
 
-from helpers import stub_gateway, write_corpus
+from helpers import TWO_HOP_CORPUS, build_two_hop_world, stub_gateway, write_corpus
 
 
 def test_ingest_three_lines_in_order(tmp_path):
@@ -201,3 +202,11 @@ def test_concurrent_extraction_preserves_corpus_order():
     ]
     graph_par, *_ = build_graph_index(corpus, stub_gateway(rules2), embedder, workers=4)
     assert graph_seq == graph_par
+
+
+def test_load_stores_rejects_changed_corpus(tmp_path):
+    world = build_two_hop_world(tmp_path)
+    save_stores(world.stores, tmp_path / "snap", world.embedder, world.corpus_path)
+    write_corpus(world.corpus_path, TWO_HOP_CORPUS[:1])
+    with pytest.raises(CorpusMismatch):
+        load_stores(tmp_path / "snap", world.embedder)

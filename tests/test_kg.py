@@ -113,9 +113,9 @@ def test_load_malformed_line_reports_line_number(tmp_path):
 
 
 def g_dump_lines(g):
-    from subhop.kg import _encode_record
+    from subhop.kg import encode_record
 
-    return [_encode_record(t) for t in g]
+    return [encode_record(t) for t in g]
 
 
 def test_load_duplicate_dedup_key_rejected(tmp_path):
