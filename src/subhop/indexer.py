@@ -199,6 +199,9 @@ def build_graph_index(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             extractions = list(pool.map(_extract, corpus.documents))
 
+    # sized once: rows extracted bound the triples stored
+    passage_index.reserve(len(corpus.documents))
+    triple_index.reserve(sum(len(rows) for rows in extractions if rows))
     for position, doc in enumerate(corpus.documents):
         passage_index.upsert(position, passage_text(doc), embedder)
         rows = extractions[position]

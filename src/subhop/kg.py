@@ -113,6 +113,10 @@ class KnowledgeGraph:
         self._store(triple, key)
         return triple.id, True
 
+    def find(self, head: str, relation: str, tail: str) -> int | None:
+        """Id of the stored triple equivalent to this one, if any."""
+        return self._key_index.get(dedup_key(head, relation, tail))
+
     def _store(self, triple: Triple, key: DedupKey) -> None:
         self._triples.append(triple)
         self._by_id[triple.id] = triple

@@ -24,12 +24,12 @@ from .decompose import (
     single_question_plan,
 )
 from .embedders import Embedder
-from .errors import LLM_FAILURES, BudgetExceeded, EmptyField, MissingDependency
+from .errors import LLM_FAILURES, BudgetExceeded, MissingDependency
 from .gateway import ChatRequest, Gateway
 from .indexer import TripleRow, validate_triple_rows
-from .kg import KnowledgeGraph, Triple
+from .kg import KnowledgeGraph, Triple, normalize_field
 from .stores import Stores
-from .vector import VectorIndex, verbalize_triple
+from .vector import VectorIndex, verbalize
 
 logger = logging.getLogger(__name__)
 
@@ -213,22 +213,24 @@ def update_graph_with_new_triples(
 ) -> FallbackEvent:
     """Write validated fallback triples into the graph and the triple
     index. Duplicates are silently skipped; only genuinely new ids land in
-    ``written_back_ids``. Caller holds the writer lock."""
-    written: list[int] = []
-    for head, relation, tail in event.new_triples:
-        try:
-            triple_id, inserted = graph.insert(
-                head, relation, tail, provenance=f"dynamic:{question_id}", step=step
-            )
-        except EmptyField:
+    ``written_back_ids``. Each triple is embedded before it enters the
+    graph, so a failing embedder leaves no graph triple without an index
+    row. Caller holds the writer lock."""
+    event.written_back_ids = []
+    for row in event.new_triples:
+        fields = tuple(normalize_field(part) for part in row)
+        if not all(fields):
             logger.warning("skipping empty-field write-back triple")
             continue
-        if inserted:
-            triple_index.upsert(
-                triple_id, verbalize_triple(graph.lookup(triple_id)), embedder
-            )
-            written.append(triple_id)
-    event.written_back_ids = written
+        if graph.find(*fields) is not None:
+            continue
+        text = verbalize(*fields)
+        embedding = triple_index.embed(text, embedder)
+        triple_id, _ = graph.insert(
+            *fields, provenance=f"dynamic:{question_id}", step=step
+        )
+        triple_index.upsert(triple_id, text, embedder, embedding)
+        event.written_back_ids.append(triple_id)
     return event
 
 

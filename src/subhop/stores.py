@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import threading
+import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -91,23 +93,44 @@ def save_stores(
     embedder: Embedder,
     corpus_path: str | Path,
 ) -> None:
-    root = Path(snapshot_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    stores.graph.save(root / GRAPH_FILE)
-    stores.triple_index.save(root / TRIPLE_INDEX_FILE, embedder)
-    stores.passage_index.save(root / PASSAGE_INDEX_FILE, embedder)
-    manifest = {
-        "corpus_path": str(corpus_path),
-        "corpus_sha256": _file_sha256(corpus_path),
-        "embedder": embedder.name,
-        "dimension": embedder.dimension,
-        "triples": len(stores.graph),
-        "passages": len(stores.passage_index),
-        "created_at": datetime.now(timezone.utc).isoformat(),
-    }
-    (root / MANIFEST_FILE).write_text(
-        json.dumps(manifest, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
+    """Write the snapshot into a temporary directory beside ``snapshot_dir``
+    and rename it into place, so a failure midway leaves the previous
+    snapshot as it was."""
+    root = Path(snapshot_dir).resolve()
+    root.parent.mkdir(parents=True, exist_ok=True)
+    staging = root.with_name(f".{root.name}.{uuid.uuid4().hex}.tmp")
+    staging.mkdir()
+    try:
+        stores.graph.save(staging / GRAPH_FILE)
+        stores.triple_index.save(staging / TRIPLE_INDEX_FILE, embedder)
+        stores.passage_index.save(staging / PASSAGE_INDEX_FILE, embedder)
+        manifest = {
+            "corpus_path": str(corpus_path),
+            "corpus_sha256": _file_sha256(corpus_path),
+            "embedder": embedder.name,
+            "dimension": embedder.dimension,
+            "triples": len(stores.graph),
+            "passages": len(stores.passage_index),
+            "created_at": datetime.now(timezone.utc).isoformat(),
+        }
+        (staging / MANIFEST_FILE).write_text(
+            json.dumps(manifest, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
+        )
+        if not root.exists():
+            staging.rename(root)
+            return
+        # a directory can only be renamed over an empty one: move the old
+        # snapshot aside, put the new one in, then delete the old one
+        previous = staging.with_suffix(".old")
+        root.rename(previous)
+        try:
+            staging.rename(root)
+        except OSError:
+            previous.rename(root)
+            raise
+        shutil.rmtree(previous, ignore_errors=True)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def load_manifest(snapshot_dir: str | Path) -> dict:
@@ -146,6 +169,15 @@ def load_stores(
     triple_index = VectorIndex.load(root / TRIPLE_INDEX_FILE, embedder)
     passage_index = VectorIndex.load(root / PASSAGE_INDEX_FILE, embedder)
     corpus = ingest_corpus(source)
+    counts = {
+        "graph triples": (len(graph), manifest.get("triples")),
+        "triple index rows": (len(triple_index), manifest.get("triples")),
+        "passage index rows": (len(passage_index), manifest.get("passages")),
+        "corpus documents": (len(corpus), manifest.get("passages")),
+    }
+    for what, (found, recorded) in counts.items():
+        if found != recorded:
+            raise ParseError(f"snapshot has {found} {what}, its manifest records {recorded}")
     return Stores(
         graph=graph,
         triple_index=triple_index,

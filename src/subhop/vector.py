@@ -8,6 +8,7 @@ break by ascending key; zero-norm vectors score 0.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Iterator
 
@@ -34,37 +35,46 @@ def cosine_scores(
     return out
 
 
-def verbalize_triple(t: Triple) -> str:
+def verbalize(head: str, relation: str, tail: str) -> str:
     """Flat text form of a triple, the string that gets embedded."""
-    return f"{t.head} {t.relation} {t.tail}"
+    return f"{head} {relation} {tail}"
+
+
+def verbalize_triple(t: Triple) -> str:
+    return verbalize(t.head, t.relation, t.tail)
 
 
 class VectorIndex:
     """In-memory map from integer keys to (text, embedding).
 
-    Re-upserting a key replaces its entry. The score matrix is rebuilt
-    lazily after writes; reads between writes share the cached matrix.
+    Rows live in preallocated arrays (a float64 matrix, its row norms and
+    the int64 keys) that double in capacity when full, so a write never
+    invalidates anything: a new key fills the next free row, a re-upserted
+    key overwrites its own row in place. The row, norm and key are written
+    before the row count moves, so a reader that takes the count once and
+    slices ``[:n]`` sees only complete rows. Growing swaps in larger copies;
+    overwriting a row in place still needs the caller's writer lock.
     """
 
     def __init__(self, dimension: int | None = None):
         self._dimension = dimension
-        self._keys: list[int] = []
+        self._n = 0
+        self._matrix = np.empty((0, dimension or 0), dtype=np.float64)
+        self._norms = np.empty(0, dtype=np.float64)
+        self._keys = np.empty(0, dtype=np.int64)
         self._texts: list[str] = []
-        self._vectors: list[np.ndarray] = []
-        self._norms: list[float] = []
         self._pos: dict[int, int] = {}
-        self._matrix: np.ndarray | None = None
-        self._norm_arr: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return self._n
 
     @property
     def dimension(self) -> int | None:
         return self._dimension
 
     def entries(self) -> Iterator[tuple[int, str]]:
-        return zip(self._keys, self._texts)
+        n = self._n
+        return zip(self._keys[:n].tolist(), self._texts[:n])
 
     def text_for(self, key: int) -> str:
         return self._texts[self._pos[key]]
@@ -77,40 +87,63 @@ class VectorIndex:
                 f"embedder dimension {embedder.dimension} != index dimension {self._dimension}"
             )
 
-    def upsert(self, key: int, text: str, embedder: Embedder) -> None:
+    def embed(self, text: str, embedder: Embedder) -> Embedding:
+        """The embedding ``upsert`` would store for ``text``; raises
+        DimensionMismatch, before anything is written, if it does not fit."""
         self._check_embedder(embedder)
-        emb = embedder.embed(text)
-        self._insert_embedding(key, text, emb)
+        return self._fitting(embedder.embed(text))
 
-    def _insert_embedding(self, key: int, text: str, emb: Embedding) -> None:
+    def _fitting(self, emb: Embedding) -> Embedding:
         if emb.values.shape != (self._dimension,):
             raise DimensionMismatch(
                 f"vector of shape {emb.values.shape} does not fit dimension {self._dimension}"
             )
-        values = np.asarray(emb.values, dtype=np.float64)
-        pos = self._pos.get(key)
-        if pos is None:
-            self._pos[key] = len(self._keys)
-            self._keys.append(key)
-            self._texts.append(text)
-            self._vectors.append(values)
-            self._norms.append(emb.norm)
-        else:
-            self._texts[pos] = text
-            self._vectors[pos] = values
-            self._norms[pos] = emb.norm
-        self._matrix = None
-        self._norm_arr = None
+        return emb
 
-    def _scan_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        # concurrent readers may race to rebuild; keep locals so a reader
-        # never observes a half-updated cache pair
-        matrix, norms = self._matrix, self._norm_arr
-        if matrix is None or norms is None:
-            matrix = np.vstack(self._vectors)
-            norms = np.asarray(self._norms, dtype=np.float64)
-            self._matrix, self._norm_arr = matrix, norms
-        return matrix, norms
+    def upsert(
+        self, key: int, text: str, embedder: Embedder, embedding: Embedding | None = None
+    ) -> None:
+        """Store ``text`` under ``key``, replacing the key's entry. A caller
+        that already holds ``embed(text, embedder)`` passes it as
+        ``embedding``."""
+        if embedding is None:
+            embedding = self.embed(text, embedder)
+        self._put(key, text, embedding)
+
+    def _put(self, key: int, text: str, emb: Embedding) -> None:
+        emb = self._fitting(emb)
+        pos = self._pos.get(key)
+        if pos is not None:
+            self._matrix[pos] = emb.values
+            self._norms[pos] = emb.norm
+            self._texts[pos] = text
+            return
+        pos = self._n
+        if pos == len(self._keys):
+            self._grow(max(16, 2 * pos))
+        self._matrix[pos] = emb.values
+        self._norms[pos] = emb.norm
+        self._keys[pos] = key
+        self._texts.append(text)
+        self._pos[key] = pos
+        self._n = pos + 1
+
+    def reserve(self, capacity: int) -> None:
+        """Make room for ``capacity`` rows, so inserting that many never
+        copies the arrays."""
+        if capacity > len(self._keys):
+            self._grow(capacity)
+
+    def _grow(self, capacity: int) -> None:
+        """Copy the filled rows into arrays of ``capacity`` rows."""
+        n = self._n
+        matrix = np.empty((capacity, self._dimension), dtype=np.float64)
+        norms = np.empty(capacity, dtype=np.float64)
+        keys = np.empty(capacity, dtype=np.int64)
+        matrix[:n] = self._matrix[:n]
+        norms[:n] = self._norms[:n]
+        keys[:n] = self._keys[:n]
+        self._matrix, self._norms, self._keys = matrix, norms, keys
 
     def top_k(self, query_text: str, k: int, embedder: Embedder) -> list[tuple[int, float]]:
         """Exact top-k by cosine score, descending, ties by ascending key.
@@ -120,31 +153,40 @@ class VectorIndex:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        if not self._keys:
+        n = self._n
+        if n == 0:
             return []
         self._check_embedder(embedder)
         query = embedder.embed(query_text)
-        matrix, norms = self._scan_arrays()
-        scores = cosine_scores(matrix, norms, query.values, query.norm)
-        keys = np.asarray(self._keys, dtype=np.int64)
-        order = np.lexsort((keys, -scores))
-        top = order[: min(k, len(self._keys))]
-        return [(int(keys[i]), float(scores[i])) for i in top]
+        keys = self._keys[:n]
+        scores = cosine_scores(self._matrix[:n], self._norms[:n], query.values, query.norm)
+        k = min(k, n)
+        if k < n:
+            # every row ranked above the k-th score, and every row tied
+            # with it, is a candidate; sorting only those gives the same
+            # prefix as sorting all n rows
+            kth = np.partition(scores, n - k)[n - k]
+            candidates = np.flatnonzero(scores >= kth)
+        else:
+            candidates = np.arange(n)
+        order = np.lexsort((keys[candidates], -scores[candidates]))[:k]
+        return [(int(keys[i]), float(scores[i])) for i in candidates[order]]
 
     # -- persistence -----------------------------------------------------
 
     def save(self, path: str | Path, embedder: Embedder) -> None:
         """Write a header line with the embedder identity followed by one
         JSON record per entry."""
+        n = self._n
         header = {
             "embedder": embedder.name,
             "dimension": self._dimension if self._dimension is not None else embedder.dimension,
-            "count": len(self._keys),
+            "count": n,
         }
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(header, ensure_ascii=False, separators=(",", ":")))
             fh.write("\n")
-            for key, text, vec in zip(self._keys, self._texts, self._vectors):
+            for (key, text), vec in zip(self.entries(), self._matrix[:n]):
                 record = {"key": key, "text": text, "values": vec.tolist()}
                 fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
                 fh.write("\n")
@@ -164,19 +206,30 @@ class VectorIndex:
                     f"index built with {header.get('embedder')}/{header.get('dimension')}, "
                     f"loading with {embedder.name}/{embedder.dimension}"
                 )
+            # a record spells out `dimension` numbers, so it takes at least
+            # 2 * dimension bytes; a larger count cannot be this file's
+            count = header.get("count")
+            max_count = os.fstat(fh.fileno()).st_size // (2 * embedder.dimension)
+            if not isinstance(count, int) or not 0 <= count <= max_count:
+                raise ParseError(f"invalid header count {count!r}", line=1)
             index = cls(dimension=embedder.dimension)
+            index.reserve(count)
+            records = 0
             for lineno, line in enumerate(fh, start=2):
                 line = line.rstrip("\n")
                 if not line:
                     continue
+                records += 1
                 try:
                     record = json.loads(line)
                     key = record["key"]
                     text = record["text"]
-                    values = record["values"]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                    embedding = Embedding.of(record["values"])
+                except (KeyError, TypeError, ValueError) as exc:
                     raise ParseError(f"invalid index record: {exc}", line=lineno) from None
                 if not isinstance(key, int) or not isinstance(text, str):
                     raise ParseError("key must be int and text a string", line=lineno)
-                index._insert_embedding(key, text, Embedding.of(values))
+                index._put(key, text, embedding)
+        if records != count:
+            raise ParseError(f"index has {records} records, its header says {count}")
         return index

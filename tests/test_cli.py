@@ -226,6 +226,15 @@ def test_corrupted_snapshot_exits_4(env, capsys):
     assert run(base_args(env, "ask_script") + ["graph", "stats"]) == 4
 
 
+def test_truncated_snapshot_exits_4(env, capsys):
+    do_index(env)
+    path = env["snapshot"] / "triples.vec.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]), encoding="utf-8")
+    assert run(base_args(env, "ask_script") + ["ask", TWO_HOP_QUESTION]) == 4
+    assert "its header says" in capsys.readouterr().err
+
+
 def test_ask_after_corpus_changed_exits_4(env, capsys):
     do_index(env)
     write_corpus(env["corpus"], TWO_HOP_CORPUS[:1])

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from subhop.config import Config
-from subhop.embedders import FixtureEmbedder, basis_vector
-from subhop.errors import UnknownId
+from subhop.embedders import Embedding, FixtureEmbedder, basis_vector
+from subhop.errors import DimensionMismatch, UnknownId
 from subhop.kg import KnowledgeGraph
 from subhop.solver import (
     FallbackEvent,
@@ -177,6 +177,39 @@ def test_update_graph_with_new_triples_dedup(tmp_path):
     assert graph.lookup(new_id).provenance == "dynamic:q77"
     assert graph.lookup(new_id).created_at_step == 2
     assert {key for key, _ in index.entries()} == {t.id for t in graph}
+
+
+@pytest.mark.parametrize(
+    "failure, error", [("raises", RuntimeError), ("wrong_dimension", DimensionMismatch)]
+)
+def test_failed_write_back_embed_keeps_graph_and_index_in_sync(tmp_path, failure, error):
+    world = build_two_hop_world(tmp_path)
+    graph, index = world.stores.graph, world.stores.triple_index
+    before = len(graph)
+    world.embedder.add("Emma Thomas born in London", basis_vector(6, 8))
+
+    class FailsOnSecondTriple:
+        name = world.embedder.name
+        dimension = world.embedder.dimension
+
+        def embed(self, text):
+            if text == "Emma Thomas studied at UCL":
+                if failure == "raises":
+                    raise RuntimeError("embedder down")
+                return Embedding.of([1.0, 0.0])
+            return world.embedder.embed(text)
+
+    event = FallbackEvent(new_triples=[
+        ("Emma  Thomas", "born in", "London"),
+        ("Emma Thomas", "studied at", "UCL"),
+        ("Emma Thomas", "spouse", "Christopher Nolan"),
+    ])
+    with pytest.raises(error):
+        update_graph_with_new_triples(graph, index, event, "q9", 2, FailsOnSecondTriple())
+    assert len(graph) == len(index) == before + 1
+    assert event.written_back_ids == [before]
+    assert {key for key, _ in index.entries()} == {t.id for t in graph}
+    assert index.text_for(before) == verbalize_triple(graph.lookup(before))
 
 
 def test_update_noop_on_empty_event(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from subhop import vector
 from subhop.embedders import Embedding, FixtureEmbedder, HashedBagEmbedder
-from subhop.errors import DimensionMismatch, EmbedderMismatch
+from subhop.errors import DimensionMismatch, EmbedderMismatch, ParseError
 from subhop.kg import KnowledgeGraph, Triple, dedup_key
 from subhop.vector import VectorIndex, verbalize_triple
 
@@ -208,3 +208,128 @@ def test_load_rejects_other_embedder(tmp_path):
     index.save(path, embedder)
     with pytest.raises(EmbedderMismatch):
         VectorIndex.load(path, HashedBagEmbedder(dimension=8))
+
+
+# -- partial selection against a full lexsort --------------------------------
+
+
+def lexsort_oracle(vectors: dict[int, np.ndarray], query: np.ndarray, k: int):
+    """Score every row and sort all of them: descending score, then key."""
+    keys = np.fromiter(vectors, dtype=np.int64)
+    matrix = np.array([vectors[int(key)] for key in keys], dtype=np.float64)
+    norms = np.linalg.norm(matrix, axis=1)
+    scores = vector.cosine_scores(matrix, norms, query, float(np.linalg.norm(query)))
+    order = np.lexsort((keys, -scores))[:k]
+    return [(int(keys[i]), float(scores[i])) for i in order]
+
+
+def tie_heavy_vectors(rng, count: int, dim: int = 4) -> dict[int, np.ndarray]:
+    # values in {-1, 0, 1}, as the hashed embedder produces for short
+    # texts: many rows share a score, and integer dot products are exact,
+    # so index and oracle scores agree bit for bit
+    keys = rng.choice(10 * count, size=count, replace=False)
+    return {int(key): rng.integers(-1, 2, size=dim).astype(np.float64) for key in keys}
+
+
+def fill(index: VectorIndex, embedder: FixtureEmbedder, vectors, texts=None) -> None:
+    for key, values in vectors.items():
+        text = f"t{key}" if texts is None else texts[key]
+        embedder.add(text, values.tolist())
+        index.upsert(key, text, embedder)
+
+
+def test_top_k_selection_matches_full_lexsort_on_ties():
+    rng = np.random.default_rng(7)
+    vectors = tie_heavy_vectors(rng, 300)
+    embedder = FixtureEmbedder({}, default=[0.0] * 4)
+    index = VectorIndex(dimension=4)
+    fill(index, embedder, vectors)
+    assert list(dict(index.entries())) != sorted(vectors)  # keys not monotonic
+    for trial in range(40):
+        query = rng.integers(-1, 2, size=4).astype(np.float64)
+        embedder.add(f"q{trial}", query.tolist())
+        for k in (1, 2, 5, 17, 299, 300, 301, 1000):
+            got = index.top_k(f"q{trial}", k, embedder)
+            assert got == lexsort_oracle(vectors, query, k), (trial, k)
+
+
+def test_top_k_zero_norm_query_returns_ascending_keys():
+    rng = np.random.default_rng(8)
+    vectors = tie_heavy_vectors(rng, 50)
+    embedder = FixtureEmbedder({"zero": [0.0] * 4})
+    index = VectorIndex(dimension=4)
+    fill(index, embedder, vectors)
+    for k in (1, 5, 50, 60):
+        want = [(key, 0.0) for key in sorted(vectors)[:k]]
+        assert index.top_k("zero", k, embedder) == want
+        assert lexsort_oracle(vectors, np.zeros(4), k) == want
+
+
+def test_top_k_exact_across_growth_and_re_upserts():
+    rng = np.random.default_rng(9)
+    embedder = FixtureEmbedder({}, default=[0.0] * 6)
+    index = VectorIndex(dimension=6)
+    live: dict[int, np.ndarray] = {}
+    incoming = tie_heavy_vectors(rng, 700, dim=6)  # crosses 16, 32, ..., 512 rows
+    for step, (key, values) in enumerate(incoming.items()):
+        fill(index, embedder, {key: values})
+        live[key] = values
+        if step % 9 == 0:
+            # re-upsert an existing key with a new vector, in place
+            old = int(rng.choice(list(live)))
+            live[old] = rng.integers(-1, 2, size=6).astype(np.float64)
+            fill(index, embedder, {old: live[old]}, texts={old: f"t{old}v{step}"})
+        if step % 23 == 0 or step == len(incoming) - 1:
+            query = rng.integers(-1, 2, size=6).astype(np.float64)
+            embedder.add(f"q{step}", query.tolist())
+            for k in (1, 5, len(live)):
+                assert index.top_k(f"q{step}", k, embedder) == lexsort_oracle(live, query, k)
+    assert len(index) == len(live) == 700
+
+
+def test_save_writes_the_json_lines_format(tmp_path):
+    # the snapshot format is unchanged by how rows are stored: header, then
+    # one record per key in first-insertion order with its latest vector
+    embedder = FixtureEmbedder({"a": [1.0, 0.5], "b": [0.0, -2.0], "c": [3.0, 0.25]})
+    index = VectorIndex(dimension=2)
+    for key, text in [(9, "a"), (2, "b"), (5, "c")]:
+        index.upsert(key, text, embedder)
+    index.upsert(9, "c", embedder)
+    path = tmp_path / "vec.jsonl"
+    index.save(path, embedder)
+    assert path.read_text(encoding="utf-8") == (
+        '{"embedder":"fixture","dimension":2,"count":3}\n'
+        '{"key":9,"text":"c","values":[3.0,0.25]}\n'
+        '{"key":2,"text":"b","values":[0.0,-2.0]}\n'
+        '{"key":5,"text":"c","values":[3.0,0.25]}\n'
+    )
+
+
+def test_load_rejects_truncated_file(tmp_path):
+    embedder = HashedBagEmbedder(dimension=16)
+    index = VectorIndex(dimension=16)
+    for key, text in enumerate(["alpha", "beta gamma", "delta"]):
+        index.upsert(key, text, embedder)
+    path = tmp_path / "vec.jsonl"
+    index.save(path, embedder)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]), encoding="utf-8")  # cut at a line boundary
+    with pytest.raises(ParseError, match="2 records, its header says 3"):
+        VectorIndex.load(path, embedder)
+
+
+def test_load_rejects_header_count_the_file_cannot_hold(tmp_path):
+    embedder = HashedBagEmbedder(dimension=16)
+    path = tmp_path / "vec.jsonl"
+    path.write_text('{"embedder":"hash","dimension":16,"count":1000000000000}\n',
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match="invalid header count"):
+        VectorIndex.load(path, embedder)
+
+
+def test_load_rejects_non_numeric_values(tmp_path):
+    path = tmp_path / "vec.jsonl"
+    path.write_text('{"embedder":"hash","dimension":2,"count":1}\n'
+                    '{"key":0,"text":"a","values":["x",1]}\n', encoding="utf-8")
+    with pytest.raises(ParseError, match="line 2"):
+        VectorIndex.load(path, HashedBagEmbedder(dimension=2))
