@@ -33,6 +33,16 @@ def dedup_key(head: str, relation: str, tail: str) -> DedupKey:
     )
 
 
+def _normalize(head: str, relation: str, tail: str) -> tuple[tuple[str, str, str], DedupKey]:
+    """Normalized fields and dedup key; EmptyField if a field trims to nothing."""
+    h = normalize_field(head)
+    r = normalize_field(relation)
+    t = normalize_field(tail)
+    if not h or not r or not t:
+        raise EmptyField(f"empty field in triple ({head!r}, {relation!r}, {tail!r})")
+    return (h, r, t), (h.casefold(), r.casefold(), t.casefold())
+
+
 @dataclass(frozen=True)
 class Triple:
     """One (head, relation, tail) fact with provenance.
@@ -99,23 +109,21 @@ class KnowledgeGraph:
         when an equivalent triple is already stored. Raises EmptyField if
         any field trims to nothing; callers skip the triple and log it.
         """
-        h = normalize_field(head)
-        r = normalize_field(relation)
-        t = normalize_field(tail)
-        if not h or not r or not t:
-            raise EmptyField(f"empty field in triple ({head!r}, {relation!r}, {tail!r})")
-        key = (h.casefold(), r.casefold(), t.casefold())
+        fields, key = _normalize(head, relation, tail)
         existing = self._key_index.get(key)
         if existing is not None:
             return existing, False
-        triple = Triple(self._next_id, h, r, t, provenance, step)
+        triple = Triple(self._next_id, *fields, provenance, step)
         self._next_id += 1
         self._store(triple, key)
         return triple.id, True
 
-    def find(self, head: str, relation: str, tail: str) -> int | None:
-        """Id of the stored triple equivalent to this one, if any."""
-        return self._key_index.get(dedup_key(head, relation, tail))
+    def new_fields(self, head: str, relation: str, tail: str) -> tuple[str, str, str] | None:
+        """The normalized fields ``insert`` would store, or None when an
+        equivalent triple is already stored. Raises EmptyField as
+        ``insert`` does."""
+        fields, key = _normalize(head, relation, tail)
+        return None if key in self._key_index else fields
 
     def _store(self, triple: Triple, key: DedupKey) -> None:
         self._triples.append(triple)

@@ -24,10 +24,10 @@ from .decompose import (
     single_question_plan,
 )
 from .embedders import Embedder
-from .errors import LLM_FAILURES, BudgetExceeded, MissingDependency
+from .errors import LLM_FAILURES, BudgetExceeded, EmptyField, MissingDependency
 from .gateway import ChatRequest, Gateway
 from .indexer import TripleRow, validate_triple_rows
-from .kg import KnowledgeGraph, Triple, normalize_field
+from .kg import KnowledgeGraph, Triple
 from .stores import Stores
 from .vector import VectorIndex, verbalize
 
@@ -218,11 +218,12 @@ def update_graph_with_new_triples(
     row. Caller holds the writer lock."""
     event.written_back_ids = []
     for row in event.new_triples:
-        fields = tuple(normalize_field(part) for part in row)
-        if not all(fields):
+        try:
+            fields = graph.new_fields(*row)
+        except EmptyField:
             logger.warning("skipping empty-field write-back triple")
             continue
-        if graph.find(*fields) is not None:
+        if fields is None:
             continue
         text = verbalize(*fields)
         embedding = triple_index.embed(text, embedder)

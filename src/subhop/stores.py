@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
+import tempfile
 import threading
-import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -27,6 +28,8 @@ GRAPH_FILE = "graph.jsonl"
 TRIPLE_INDEX_FILE = "triples.vec.jsonl"
 PASSAGE_INDEX_FILE = "passages.vec.jsonl"
 MANIFEST_FILE = "manifest.json"
+# the manifest comes last: it is moved in once every other file is
+SNAPSHOT_FILES = (GRAPH_FILE, TRIPLE_INDEX_FILE, PASSAGE_INDEX_FILE, MANIFEST_FILE)
 
 
 class ReadWriteLock:
@@ -93,13 +96,18 @@ def save_stores(
     embedder: Embedder,
     corpus_path: str | Path,
 ) -> None:
-    """Write the snapshot into a temporary directory beside ``snapshot_dir``
-    and rename it into place, so a failure midway leaves the previous
-    snapshot as it was."""
-    root = Path(snapshot_dir).resolve()
-    root.parent.mkdir(parents=True, exist_ok=True)
-    staging = root.with_name(f".{root.name}.{uuid.uuid4().hex}.tmp")
-    staging.mkdir()
+    """Write the snapshot files into a staging directory inside
+    ``snapshot_dir``, then move each into place.
+
+    The old manifest is removed first and the new one moved in last, so
+    the manifest marks a complete snapshot: an error while writing leaves
+    the previous snapshot as it was, and one while moving leaves no
+    manifest, so nothing loads a mix of old and new files. Other files in
+    ``snapshot_dir`` are left alone.
+    """
+    root = Path(snapshot_dir)
+    root.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=root))
     try:
         stores.graph.save(staging / GRAPH_FILE)
         stores.triple_index.save(staging / TRIPLE_INDEX_FILE, embedder)
@@ -116,19 +124,9 @@ def save_stores(
         (staging / MANIFEST_FILE).write_text(
             json.dumps(manifest, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
         )
-        if not root.exists():
-            staging.rename(root)
-            return
-        # a directory can only be renamed over an empty one: move the old
-        # snapshot aside, put the new one in, then delete the old one
-        previous = staging.with_suffix(".old")
-        root.rename(previous)
-        try:
-            staging.rename(root)
-        except OSError:
-            previous.rename(root)
-            raise
-        shutil.rmtree(previous, ignore_errors=True)
+        (root / MANIFEST_FILE).unlink(missing_ok=True)
+        for name in SNAPSHOT_FILES:
+            os.replace(staging / name, root / name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 

@@ -105,13 +105,13 @@ class VectorIndex:
     ) -> None:
         """Store ``text`` under ``key``, replacing the key's entry. A caller
         that already holds ``embed(text, embedder)`` passes it as
-        ``embedding``."""
+        ``embedding``; nothing else may be passed there, since it is not
+        checked again."""
         if embedding is None:
             embedding = self.embed(text, embedder)
         self._put(key, text, embedding)
 
     def _put(self, key: int, text: str, emb: Embedding) -> None:
-        emb = self._fitting(emb)
         pos = self._pos.get(key)
         if pos is not None:
             self._matrix[pos] = emb.values
@@ -213,7 +213,9 @@ class VectorIndex:
             if not isinstance(count, int) or not 0 <= count <= max_count:
                 raise ParseError(f"invalid header count {count!r}", line=1)
             index = cls(dimension=embedder.dimension)
-            index.reserve(count)
+            # an eighth spare for write-backs, so the first one does not
+            # copy every row; rows never written take no memory
+            index.reserve(count + count // 8)
             records = 0
             for lineno, line in enumerate(fh, start=2):
                 line = line.rstrip("\n")
@@ -229,7 +231,7 @@ class VectorIndex:
                     raise ParseError(f"invalid index record: {exc}", line=lineno) from None
                 if not isinstance(key, int) or not isinstance(text, str):
                     raise ParseError("key must be int and text a string", line=lineno)
-                index._put(key, text, embedding)
+                index._put(key, text, index._fitting(embedding))
         if records != count:
             raise ParseError(f"index has {records} records, its header says {count}")
         return index

@@ -73,6 +73,18 @@ def test_index_refuses_overwrite_without_force(env):
     assert do_index(env, extra=["--force"]) == 0
 
 
+def test_index_into_the_corpus_directory_keeps_the_corpus(env, capsys):
+    env["snapshot"] = env["tmp"]
+    corpus = env["corpus"].read_bytes()
+    assert do_index(env) == 0
+    env["index_script"] = write_script(env["tmp"] / "index2.json", two_hop_index_rules())
+    assert do_index(env, extra=["--force"]) == 0
+    assert env["corpus"].read_bytes() == corpus
+    assert env["ask_script"].exists()
+    assert run(base_args(env, "ask_script") + ["ask", TWO_HOP_QUESTION]) == 0
+    assert "Emma Thomas" in capsys.readouterr().out
+
+
 def test_index_usage_error_without_corpus_flag(env):
     assert run(base_args(env, "index_script") + ["index"]) == 2
 

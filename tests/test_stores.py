@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 from pathlib import Path
@@ -11,10 +12,12 @@ from subhop.kg import KnowledgeGraph
 from subhop.stores import (
     GRAPH_FILE,
     MANIFEST_FILE,
+    PASSAGE_INDEX_FILE,
     TRIPLE_INDEX_FILE,
     Stores,
     load_stores,
     save_stores,
+    snapshot_exists,
 )
 from subhop.vector import VectorIndex
 
@@ -135,7 +138,7 @@ def test_load_stores_checks_manifest_counts(tmp_path, field):
         load_stores(snap, world.embedder)
 
 
-# -- crash-safe save -----------------------------------------------------------
+# -- safe save -----------------------------------------------------------------
 
 
 def test_failed_save_leaves_previous_snapshot_untouched(tmp_path, monkeypatch):
@@ -165,24 +168,46 @@ def test_failed_save_leaves_previous_snapshot_untouched(tmp_path, monkeypatch):
     assert len(load_stores(snap, world.embedder).graph) == len(world.stores.graph) - 1
 
 
-def test_failed_rename_puts_previous_snapshot_back(tmp_path, monkeypatch):
+def test_failed_move_leaves_no_manifest(tmp_path, monkeypatch):
     world = build_two_hop_world(tmp_path)
     snap = tmp_path / "snap"
     save_stores(world.stores, snap, world.embedder, world.corpus_path)
-    before = snapshot_bytes(snap)
-    siblings = sorted(tmp_path.iterdir())
-    original = Path.rename
+    world.stores.graph.insert("Emma Thomas", "born in", "London", "dynamic:q1", 1)
+    original = os.replace
+    moved: list[str] = []
 
-    def rename(self, target):
-        if self.name.endswith(".tmp"):
-            raise OSError("rename failed")
-        return original(self, target)
+    def replace(source, target):
+        if len(moved) == 1:  # the graph is in, the indexes are not
+            raise OSError("move failed")
+        moved.append(Path(target).name)
+        original(source, target)
 
-    monkeypatch.setattr(Path, "rename", rename)
-    with pytest.raises(OSError, match="rename failed"):
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="move failed"):
         save_stores(world.stores, snap, world.embedder, world.corpus_path)
-    assert snapshot_bytes(snap) == before
-    assert sorted(tmp_path.iterdir()) == siblings
+    assert moved == [GRAPH_FILE]
+    assert not snapshot_exists(snap)
+    assert sorted(p.name for p in snap.iterdir()) == sorted(
+        [GRAPH_FILE, TRIPLE_INDEX_FILE, PASSAGE_INDEX_FILE]
+    )
+
+
+def test_save_leaves_other_files_in_snapshot_dir(tmp_path):
+    world = build_two_hop_world(tmp_path)
+    snap = tmp_path / "snap"
+    snap.mkdir()
+    corpus = snap / "corpus.jsonl"
+    corpus.write_bytes(world.corpus_path.read_bytes())
+    (snap / "notes").mkdir()
+    (snap / "notes" / "todo.txt").write_text("keep me\n", encoding="utf-8")
+    save_stores(world.stores, snap, world.embedder, corpus)
+    save_stores(world.stores, snap, world.embedder, corpus)
+    assert (snap / "notes" / "todo.txt").read_text(encoding="utf-8") == "keep me\n"
+    assert corpus.read_bytes() == world.corpus_path.read_bytes()
+    assert sorted(p.name for p in snap.iterdir()) == sorted(
+        ["corpus.jsonl", "notes", GRAPH_FILE, TRIPLE_INDEX_FILE, PASSAGE_INDEX_FILE, MANIFEST_FILE]
+    )
+    assert len(load_stores(snap, world.embedder).graph) == len(world.stores.graph)
 
 
 def test_save_replaces_previous_snapshot(tmp_path):

@@ -333,3 +333,26 @@ def test_load_rejects_non_numeric_values(tmp_path):
                     '{"key":0,"text":"a","values":["x",1]}\n', encoding="utf-8")
     with pytest.raises(ParseError, match="line 2"):
         VectorIndex.load(path, HashedBagEmbedder(dimension=2))
+
+
+def test_load_rejects_record_of_another_dimension(tmp_path):
+    path = tmp_path / "vec.jsonl"
+    path.write_text('{"embedder":"hash","dimension":2,"count":1}\n'
+                    '{"key":0,"text":"a","values":[1.0,2.0,3.0]}\n', encoding="utf-8")
+    with pytest.raises(DimensionMismatch):
+        VectorIndex.load(path, HashedBagEmbedder(dimension=2))
+
+
+def test_first_write_back_after_load_does_not_copy_the_rows(tmp_path):
+    embedder = HashedBagEmbedder(dimension=16)
+    index = VectorIndex(dimension=16)
+    for key in range(64):
+        index.upsert(key, f"text {key}", embedder)
+    path = tmp_path / "vec.jsonl"
+    index.save(path, embedder)
+    loaded = VectorIndex.load(path, embedder)
+    matrix = loaded._matrix
+    for key in range(64, 72):
+        loaded.upsert(key, f"text {key}", embedder)
+    assert loaded._matrix is matrix
+    assert len(loaded) == 72 and loaded.text_for(70) == "text 70"
