@@ -51,11 +51,14 @@ class Config:
         if self.backend not in ("stub", "remote"):
             raise ConfigError(f"backend must be 'stub' or 'remote', got {self.backend!r}")
         for name in ("k_triples", "k_docs", "max_subquestions", "llm_budget",
-                     "parallelism", "embedding_dim", "max_tokens"):
+                     "parallelism", "embedding_dim", "max_tokens", "extract_char_budget"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.retry_limit < 0:
-            raise ConfigError("retry_limit must be >= 0")
+        for name in ("retry_limit", "backoff_base"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ConfigError(f"{name} must be >= 0")
+        if not self.request_timeout > 0:
+            raise ConfigError("request_timeout must be > 0")
         if self.backend == "remote" and not self.endpoint:
             raise ConfigError("remote backend requires an endpoint")
 

@@ -92,6 +92,8 @@ def ingest_corpus(path: str | Path) -> Corpus:
 def split_for_extraction(text: str, char_budget: int = DEFAULT_CHAR_BUDGET) -> list[str]:
     """Split long text on paragraph boundaries into budget-sized chunks;
     a single oversized paragraph is hard-split at the budget."""
+    if char_budget < 1:
+        raise ValueError("char_budget must be >= 1")
     if len(text) <= char_budget:
         return [text]
     chunks: list[str] = []
@@ -172,6 +174,28 @@ class IndexReport:
         )
 
 
+def embed_indexes(
+    graph: KnowledgeGraph, corpus: Corpus, embedder: Embedder
+) -> tuple[VectorIndex, VectorIndex]:
+    """Embed both vector indexes: one row per graph triple, keyed by its
+    id, and one row per document, keyed by its corpus position.
+
+    Every row is ``embedder.embed`` of text the graph or the corpus holds,
+    so building an index and loading a snapshot both call this.
+    """
+    triple_index = VectorIndex(dimension=embedder.dimension)
+    # an eighth spare for write-backs, so the first ones do not copy every
+    # row; rows never written take no memory
+    triple_index.reserve(len(graph) + len(graph) // 8)
+    for triple in graph:
+        triple_index.upsert(triple.id, verbalize_triple(triple), embedder)
+    passage_index = VectorIndex(dimension=embedder.dimension)
+    passage_index.reserve(len(corpus))
+    for position, doc in enumerate(corpus.documents):
+        passage_index.upsert(position, passage_text(doc), embedder)
+    return triple_index, passage_index
+
+
 def build_graph_index(
     corpus: Corpus,
     gateway: Gateway,
@@ -183,8 +207,6 @@ def build_graph_index(
     vector indexes (triples, passages)."""
     report = IndexReport(documents=len(corpus.documents))
     graph = KnowledgeGraph()
-    triple_index = VectorIndex(dimension=embedder.dimension)
-    passage_index = VectorIndex(dimension=embedder.dimension)
 
     def _extract(doc: Document) -> list[TripleRow] | None:
         try:
@@ -199,27 +221,22 @@ def build_graph_index(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             extractions = list(pool.map(_extract, corpus.documents))
 
-    # sized once: rows extracted bound the triples stored
-    passage_index.reserve(len(corpus.documents))
-    triple_index.reserve(sum(len(rows) for rows in extractions if rows))
-    for position, doc in enumerate(corpus.documents):
-        passage_index.upsert(position, passage_text(doc), embedder)
-        rows = extractions[position]
+    for doc, rows in zip(corpus.documents, extractions):
         if rows is None:
             report.failures.append(f"doc:{doc.id}")
             continue
         for head, relation, tail in rows:
             report.triples_extracted += 1
             try:
-                triple_id, inserted = graph.insert(
+                _, inserted = graph.insert(
                     head, relation, tail, provenance=f"doc:{doc.id}", step=0
                 )
             except EmptyField:
                 logger.warning("skipping empty-field triple from %s", doc.id)
                 continue
             if inserted:
-                triple_index.upsert(triple_id, verbalize_triple(graph.lookup(triple_id)), embedder)
                 report.stored += 1
             else:
                 report.duplicates += 1
+    triple_index, passage_index = embed_indexes(graph, corpus, embedder)
     return graph, triple_index, passage_index, report

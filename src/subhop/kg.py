@@ -86,7 +86,6 @@ class KnowledgeGraph:
         self._triples: list[Triple] = []
         self._by_id: dict[int, Triple] = {}
         self._key_index: dict[DedupKey, int] = {}
-        self._entity_index: dict[str, set[int]] = {}
         self._next_id = 0
 
     def __len__(self) -> int:
@@ -129,8 +128,6 @@ class KnowledgeGraph:
         self._triples.append(triple)
         self._by_id[triple.id] = triple
         self._key_index[key] = triple.id
-        for entity in (key[0], key[2]):
-            self._entity_index.setdefault(entity, set()).add(triple.id)
 
     def lookup(self, triple_id: int) -> Triple:
         try:
@@ -139,8 +136,11 @@ class KnowledgeGraph:
             raise UnknownId(triple_id) from None
 
     def stats(self) -> GraphStats:
+        # an entity is a head or tail under the dedup key's casefolding;
+        # stored fields are already whitespace-normalized
+        entities = {e.casefold() for t in self._triples for e in (t.head, t.tail)}
         dynamic = sum(1 for t in self._triples if t.is_dynamic)
-        return GraphStats(len(self._triples), len(self._entity_index), dynamic)
+        return GraphStats(len(self._triples), len(entities), dynamic)
 
     # -- persistence -----------------------------------------------------
 

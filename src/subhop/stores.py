@@ -20,16 +20,14 @@ from pathlib import Path
 
 from .embedders import Embedder
 from .errors import CorpusMismatch, EmbedderMismatch, ParseError
-from .indexer import Corpus, ingest_corpus
+from .indexer import Corpus, embed_indexes, ingest_corpus
 from .kg import KnowledgeGraph
 from .vector import VectorIndex
 
 GRAPH_FILE = "graph.jsonl"
-TRIPLE_INDEX_FILE = "triples.vec.jsonl"
-PASSAGE_INDEX_FILE = "passages.vec.jsonl"
 MANIFEST_FILE = "manifest.json"
-# the manifest comes last: it is moved in once every other file is
-SNAPSHOT_FILES = (GRAPH_FILE, TRIPLE_INDEX_FILE, PASSAGE_INDEX_FILE, MANIFEST_FILE)
+# the manifest comes last: it is moved in once the graph is
+SNAPSHOT_FILES = (GRAPH_FILE, MANIFEST_FILE)
 
 
 class ReadWriteLock:
@@ -96,22 +94,21 @@ def save_stores(
     embedder: Embedder,
     corpus_path: str | Path,
 ) -> None:
-    """Write the snapshot files into a staging directory inside
+    """Write the graph and the manifest into a staging directory inside
     ``snapshot_dir``, then move each into place.
 
-    The old manifest is removed first and the new one moved in last, so
-    the manifest marks a complete snapshot: an error while writing leaves
-    the previous snapshot as it was, and one while moving leaves no
-    manifest, so nothing loads a mix of old and new files. Other files in
-    ``snapshot_dir`` are left alone.
+    The vector indexes are not saved: ``load_stores`` embeds them again
+    from the graph and the corpus. The old manifest is removed first and
+    the new one moved in last, so the manifest marks a complete snapshot:
+    an error while writing leaves the previous snapshot as it was, and one
+    while moving leaves no manifest, so nothing loads a mix of old and new
+    files. Other files in ``snapshot_dir`` are left alone.
     """
     root = Path(snapshot_dir)
     root.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=root))
     try:
         stores.graph.save(staging / GRAPH_FILE)
-        stores.triple_index.save(staging / TRIPLE_INDEX_FILE, embedder)
-        stores.passage_index.save(staging / PASSAGE_INDEX_FILE, embedder)
         manifest = {
             "corpus_path": str(corpus_path),
             "corpus_sha256": _file_sha256(corpus_path),
@@ -151,7 +148,9 @@ def load_stores(
 
     The embedder identity is validated against the manifest; the corpus is
     re-read from its recorded path unless an override is given, and must
-    hash to the recorded ``corpus_sha256``.
+    hash to the recorded ``corpus_sha256``. Both vector indexes are
+    embedded again from the graph and the corpus, as ``build_graph_index``
+    embeds them.
     """
     root = Path(snapshot_dir)
     manifest = load_manifest(root)
@@ -164,18 +163,15 @@ def load_stores(
     if _file_sha256(source) != manifest.get("corpus_sha256"):
         raise CorpusMismatch(f"corpus {source} changed since the snapshot was indexed")
     graph = KnowledgeGraph.load(root / GRAPH_FILE)
-    triple_index = VectorIndex.load(root / TRIPLE_INDEX_FILE, embedder)
-    passage_index = VectorIndex.load(root / PASSAGE_INDEX_FILE, embedder)
     corpus = ingest_corpus(source)
     counts = {
         "graph triples": (len(graph), manifest.get("triples")),
-        "triple index rows": (len(triple_index), manifest.get("triples")),
-        "passage index rows": (len(passage_index), manifest.get("passages")),
         "corpus documents": (len(corpus), manifest.get("passages")),
     }
     for what, (found, recorded) in counts.items():
         if found != recorded:
             raise ParseError(f"snapshot has {found} {what}, its manifest records {recorded}")
+    triple_index, passage_index = embed_indexes(graph, corpus, embedder)
     return Stores(
         graph=graph,
         triple_index=triple_index,

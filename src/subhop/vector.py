@@ -7,15 +7,12 @@ break by ascending key; zero-norm vectors score 0.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from .embedders import Embedder, Embedding
-from .errors import DimensionMismatch, EmbedderMismatch, ParseError
+from .errors import DimensionMismatch
 from .kg import Triple
 
 
@@ -91,9 +88,7 @@ class VectorIndex:
         """The embedding ``upsert`` would store for ``text``; raises
         DimensionMismatch, before anything is written, if it does not fit."""
         self._check_embedder(embedder)
-        return self._fitting(embedder.embed(text))
-
-    def _fitting(self, emb: Embedding) -> Embedding:
+        emb = embedder.embed(text)
         if emb.values.shape != (self._dimension,):
             raise DimensionMismatch(
                 f"vector of shape {emb.values.shape} does not fit dimension {self._dimension}"
@@ -107,11 +102,7 @@ class VectorIndex:
         that already holds ``embed(text, embedder)`` passes it as
         ``embedding``; nothing else may be passed there, since it is not
         checked again."""
-        if embedding is None:
-            embedding = self.embed(text, embedder)
-        self._put(key, text, embedding)
-
-    def _put(self, key: int, text: str, emb: Embedding) -> None:
+        emb = self.embed(text, embedder) if embedding is None else embedding
         pos = self._pos.get(key)
         if pos is not None:
             self._matrix[pos] = emb.values
@@ -171,67 +162,3 @@ class VectorIndex:
             candidates = np.arange(n)
         order = np.lexsort((keys[candidates], -scores[candidates]))[:k]
         return [(int(keys[i]), float(scores[i])) for i in candidates[order]]
-
-    # -- persistence -----------------------------------------------------
-
-    def save(self, path: str | Path, embedder: Embedder) -> None:
-        """Write a header line with the embedder identity followed by one
-        JSON record per entry."""
-        n = self._n
-        header = {
-            "embedder": embedder.name,
-            "dimension": self._dimension if self._dimension is not None else embedder.dimension,
-            "count": n,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header, ensure_ascii=False, separators=(",", ":")))
-            fh.write("\n")
-            for (key, text), vec in zip(self.entries(), self._matrix[:n]):
-                record = {"key": key, "text": text, "values": vec.tolist()}
-                fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
-                fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str | Path, embedder: Embedder) -> "VectorIndex":
-        with open(path, "r", encoding="utf-8") as fh:
-            header_line = fh.readline()
-            if not header_line.strip():
-                raise ParseError("missing index header", line=1)
-            try:
-                header = json.loads(header_line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid header: {exc.msg}", line=1) from None
-            if header.get("embedder") != embedder.name or header.get("dimension") != embedder.dimension:
-                raise EmbedderMismatch(
-                    f"index built with {header.get('embedder')}/{header.get('dimension')}, "
-                    f"loading with {embedder.name}/{embedder.dimension}"
-                )
-            # a record spells out `dimension` numbers, so it takes at least
-            # 2 * dimension bytes; a larger count cannot be this file's
-            count = header.get("count")
-            max_count = os.fstat(fh.fileno()).st_size // (2 * embedder.dimension)
-            if not isinstance(count, int) or not 0 <= count <= max_count:
-                raise ParseError(f"invalid header count {count!r}", line=1)
-            index = cls(dimension=embedder.dimension)
-            # an eighth spare for write-backs, so the first one does not
-            # copy every row; rows never written take no memory
-            index.reserve(count + count // 8)
-            records = 0
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                records += 1
-                try:
-                    record = json.loads(line)
-                    key = record["key"]
-                    text = record["text"]
-                    embedding = Embedding.of(record["values"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ParseError(f"invalid index record: {exc}", line=lineno) from None
-                if not isinstance(key, int) or not isinstance(text, str):
-                    raise ParseError("key must be int and text a string", line=lineno)
-                index._put(key, text, index._fitting(embedding))
-        if records != count:
-            raise ParseError(f"index has {records} records, its header says {count}")
-        return index

@@ -17,6 +17,7 @@ from subhop.indexer import build_graph_index, ingest_corpus
 from subhop.stores import Stores
 from subhop.stub import StubBackend, StubRule, dump_stub_script, rule
 from subhop.templates import TemplateRegistry
+from subhop.vector import VectorIndex
 
 REGISTRY = TemplateRegistry.load()
 
@@ -44,6 +45,13 @@ def oracle_cosine_top_k(
         scored.append((key, score))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[: min(k, len(scored))]
+
+
+def index_rows(index: VectorIndex) -> tuple[list[tuple[int, str]], bytes, bytes]:
+    """Keys, texts, matrix rows and norms of an index, for a bit-for-bit
+    comparison."""
+    n = len(index)
+    return list(index.entries()), index._matrix[:n].tobytes(), index._norms[:n].tobytes()
 
 
 _WS_RE = re.compile(r"\s+")

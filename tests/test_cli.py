@@ -240,11 +240,18 @@ def test_corrupted_snapshot_exits_4(env, capsys):
 
 def test_truncated_snapshot_exits_4(env, capsys):
     do_index(env)
-    path = env["snapshot"] / "triples.vec.jsonl"
+    path = env["snapshot"] / "graph.jsonl"
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(lines[:-1]), encoding="utf-8")
     assert run(base_args(env, "ask_script") + ["ask", TWO_HOP_QUESTION]) == 4
-    assert "its header says" in capsys.readouterr().err
+    assert "its manifest records" in capsys.readouterr().err
+
+
+def test_ask_with_other_embedding_dimension_exits_4(env, capsys):
+    do_index(env)
+    args = base_args(env, "ask_script") + ["--embedding-dim", "128", "ask", TWO_HOP_QUESTION]
+    assert run(args) == 4
+    assert "snapshot built with hash/256, configured hash/128" in capsys.readouterr().err
 
 
 def test_ask_after_corpus_changed_exits_4(env, capsys):
@@ -276,6 +283,12 @@ def test_config_rejects_bad_values(tmp_path):
         load_config(overrides={"k_triples": 0})
     with pytest.raises(ConfigError):
         load_config(overrides={"backend": "warp"})
+    # a budget below 1 made extraction split forever; negative backoff made
+    # the retry sleep raise
+    for name, value in [("extract_char_budget", 0), ("backoff_base", -0.5),
+                        ("backoff_base", float("nan")), ("request_timeout", 0.0)]:
+        with pytest.raises(ConfigError, match=name):
+            load_config(overrides={name: value})
     bad = tmp_path / "c.json"
     bad.write_text("{nope}", encoding="utf-8")
     with pytest.raises(ConfigError):

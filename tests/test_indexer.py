@@ -86,6 +86,18 @@ def test_split_hard_splits_oversized_paragraph():
     assert chunks == ["x" * 10, "x" * 10, "x" * 5]
 
 
+class NoSplit(str):
+    def split(self, *args):
+        raise AssertionError("reached the chunking loop")
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_split_rejects_budget_below_one(budget):
+    # the loop never ends for such a budget, so the check must come first
+    with pytest.raises(ValueError, match="char_budget"):
+        split_for_extraction(NoSplit("some text"), char_budget=budget)
+
+
 def test_long_document_extracted_per_chunk():
     text = "alpha alpha\n\nbeta beta"
     gw = stub_gateway([

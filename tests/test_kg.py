@@ -62,6 +62,8 @@ def test_stats():
     assert g.stats() == GraphStats(1, 2, 0)
     g.insert("B", "r2", "C", "dynamic:q1", 1)
     assert g.stats() == GraphStats(2, 3, 1)
+    g.insert(" b\t", "r3", "a", "doc:d2", 0)  # "B" and "A" in other case and spacing
+    assert g.stats() == GraphStats(3, 3, 1)
 
 
 def test_fields_are_stored_normalized():

@@ -5,15 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from subhop.embedders import HashedBagEmbedder
-from subhop.errors import ParseError
+from subhop.benchmark import QAExample, run_benchmark
+from subhop.embedders import FixtureEmbedder, HashedBagEmbedder
+from subhop.errors import EmbedderMismatch, ParseError
 from subhop.indexer import Corpus
 from subhop.kg import KnowledgeGraph
+from subhop.solver import solve
 from subhop.stores import (
     GRAPH_FILE,
     MANIFEST_FILE,
-    PASSAGE_INDEX_FILE,
-    TRIPLE_INDEX_FILE,
     Stores,
     load_stores,
     save_stores,
@@ -21,7 +21,17 @@ from subhop.stores import (
 )
 from subhop.vector import VectorIndex
 
-from helpers import build_two_hop_world
+from helpers import (
+    TWO_HOP_QID,
+    TWO_HOP_QUESTION,
+    build_benchmark_fixture,
+    build_benchmark_world,
+    build_two_hop_world,
+    fresh_rules,
+    index_rows,
+    stub_gateway,
+    two_hop_ask_rules,
+)
 
 
 def snapshot_bytes(snap: Path) -> dict[str, bytes]:
@@ -114,15 +124,6 @@ def test_load_stores_rejects_graph_cut_at_a_line_boundary(tmp_path):
         load_stores(snap, world.embedder)
 
 
-def test_load_stores_rejects_truncated_triple_index(tmp_path):
-    world = build_two_hop_world(tmp_path)
-    snap = tmp_path / "snap"
-    save_stores(world.stores, snap, world.embedder, world.corpus_path)
-    drop_last_line(snap / TRIPLE_INDEX_FILE)
-    with pytest.raises(ParseError, match="its header says"):
-        load_stores(snap, world.embedder)
-
-
 @pytest.mark.parametrize("field", ["triples", "passages"])
 def test_load_stores_checks_manifest_counts(tmp_path, field):
     world = build_two_hop_world(tmp_path)
@@ -138,6 +139,49 @@ def test_load_stores_checks_manifest_counts(tmp_path, field):
         load_stores(snap, world.embedder)
 
 
+@pytest.mark.parametrize("other", [
+    FixtureEmbedder({"x": [1.0] * 8}, name="other"),
+    FixtureEmbedder({"x": [1.0] * 4}),
+], ids=["name", "dimension"])
+def test_load_stores_rejects_other_embedder(tmp_path, other):
+    world = build_two_hop_world(tmp_path)
+    snap = tmp_path / "snap"
+    save_stores(world.stores, snap, world.embedder, world.corpus_path)
+    with pytest.raises(EmbedderMismatch, match="snapshot built with fixture/8"):
+        load_stores(snap, other)
+
+
+def solved_two_hop_world(tmp_path):
+    world = build_two_hop_world(tmp_path)
+    solve(TWO_HOP_QID, TWO_HOP_QUESTION, world.config, world.stores,
+          world.ask_gateway(two_hop_ask_rules()), world.embedder)
+    return world
+
+
+def solved_benchmark_world(tmp_path):
+    fixture = build_benchmark_fixture(n=20, fallback_every=4)
+    world = build_benchmark_world(tmp_path, fixture)
+    gateway = stub_gateway(fresh_rules(fixture.ask_rules))
+    dataset = [QAExample(r["id"], r["question"], r["answers"]) for r in fixture.dataset_records]
+    report = run_benchmark(dataset, lambda example: solve(
+        example.id, example.question, world.config, world.stores, gateway, world.embedder))
+    assert report.em == 100.0
+    return world
+
+
+@pytest.mark.parametrize("solved_world", [solved_two_hop_world, solved_benchmark_world],
+                         ids=["two-hop", "benchmark"])
+def test_load_stores_rebuilds_the_indexes_bit_for_bit(tmp_path, solved_world):
+    world = solved_world(tmp_path)
+    assert any(t.is_dynamic for t in world.stores.graph)  # write-backs are in
+    snap = tmp_path / "snap"
+    save_stores(world.stores, snap, world.embedder, world.corpus_path)
+    loaded = load_stores(snap, world.embedder)
+    assert loaded.graph == world.stores.graph
+    assert index_rows(loaded.triple_index) == index_rows(world.stores.triple_index)
+    assert index_rows(loaded.passage_index) == index_rows(world.stores.passage_index)
+
+
 # -- safe save -----------------------------------------------------------------
 
 
@@ -149,20 +193,21 @@ def test_failed_save_leaves_previous_snapshot_untouched(tmp_path, monkeypatch):
     siblings = sorted(tmp_path.iterdir())
     world.stores.graph.insert("Emma Thomas", "born in", "London", "dynamic:q1", 1)
 
-    original = VectorIndex.save
+    # fail the last write, once the new graph is complete in staging
+    original = Path.write_text
     calls: list[Path] = []
 
-    def save_then_fail(self, path, embedder):
-        calls.append(Path(path))
-        if len(calls) == 2:  # the passage index, after graph and triple index
-            Path(path).write_text("half a fi", encoding="utf-8")
-            raise OSError("disk full")
-        original(self, path, embedder)
+    def write_then_fail(self, data, *args, **kwargs):
+        if self.name != MANIFEST_FILE:
+            return original(self, data, *args, **kwargs)
+        calls.append(self)
+        original(self, data[:9], *args, **kwargs)
+        raise OSError("disk full")
 
-    monkeypatch.setattr(VectorIndex, "save", save_then_fail)
+    monkeypatch.setattr(Path, "write_text", write_then_fail)
     with pytest.raises(OSError, match="disk full"):
         save_stores(world.stores, snap, world.embedder, world.corpus_path)
-    assert all(path.parent != snap for path in calls)
+    assert len(calls) == 1 and calls[0].parent.parent == snap  # written in staging
     assert snapshot_bytes(snap) == before
     assert sorted(tmp_path.iterdir()) == siblings
     assert len(load_stores(snap, world.embedder).graph) == len(world.stores.graph) - 1
@@ -177,7 +222,7 @@ def test_failed_move_leaves_no_manifest(tmp_path, monkeypatch):
     moved: list[str] = []
 
     def replace(source, target):
-        if len(moved) == 1:  # the graph is in, the indexes are not
+        if len(moved) == 1:  # the graph is in, the manifest is not
             raise OSError("move failed")
         moved.append(Path(target).name)
         original(source, target)
@@ -187,9 +232,7 @@ def test_failed_move_leaves_no_manifest(tmp_path, monkeypatch):
         save_stores(world.stores, snap, world.embedder, world.corpus_path)
     assert moved == [GRAPH_FILE]
     assert not snapshot_exists(snap)
-    assert sorted(p.name for p in snap.iterdir()) == sorted(
-        [GRAPH_FILE, TRIPLE_INDEX_FILE, PASSAGE_INDEX_FILE]
-    )
+    assert sorted(p.name for p in snap.iterdir()) == [GRAPH_FILE]
 
 
 def test_save_leaves_other_files_in_snapshot_dir(tmp_path):
@@ -200,12 +243,14 @@ def test_save_leaves_other_files_in_snapshot_dir(tmp_path):
     corpus.write_bytes(world.corpus_path.read_bytes())
     (snap / "notes").mkdir()
     (snap / "notes" / "todo.txt").write_text("keep me\n", encoding="utf-8")
+    # an index file that older versions saved is ignored, not read
+    (snap / "triples.vec.jsonl").write_text("stale\n", encoding="utf-8")
     save_stores(world.stores, snap, world.embedder, corpus)
     save_stores(world.stores, snap, world.embedder, corpus)
     assert (snap / "notes" / "todo.txt").read_text(encoding="utf-8") == "keep me\n"
     assert corpus.read_bytes() == world.corpus_path.read_bytes()
     assert sorted(p.name for p in snap.iterdir()) == sorted(
-        ["corpus.jsonl", "notes", GRAPH_FILE, TRIPLE_INDEX_FILE, PASSAGE_INDEX_FILE, MANIFEST_FILE]
+        ["corpus.jsonl", "notes", "triples.vec.jsonl", GRAPH_FILE, MANIFEST_FILE]
     )
     assert len(load_stores(snap, world.embedder).graph) == len(world.stores.graph)
 

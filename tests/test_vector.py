@@ -6,11 +6,13 @@ import pytest
 
 from subhop import vector
 from subhop.embedders import Embedding, FixtureEmbedder, HashedBagEmbedder
-from subhop.errors import DimensionMismatch, EmbedderMismatch, ParseError
+from subhop.errors import DimensionMismatch
+from subhop.indexer import embed_indexes, ingest_corpus
 from subhop.kg import KnowledgeGraph, Triple, dedup_key
+from subhop.stores import Stores, load_stores, save_stores
 from subhop.vector import VectorIndex, verbalize_triple
 
-from helpers import oracle_cosine_top_k
+from helpers import TWO_HOP_CORPUS, oracle_cosine_top_k, write_corpus
 
 
 def make_index(vectors: dict[int, list[float]]) -> tuple[VectorIndex, FixtureEmbedder]:
@@ -185,31 +187,6 @@ def test_top_k_scans_through_module_level_cosine_scores(monkeypatch):
     assert calls == [(3, 2)]
 
 
-def test_save_load_round_trip(tmp_path):
-    embedder = HashedBagEmbedder(dimension=32)
-    index = VectorIndex(dimension=32)
-    for key, text in enumerate(["alpha beta", "gamma", "delta epsilon zeta"]):
-        index.upsert(key, text, embedder)
-    path = tmp_path / "vec.jsonl"
-    index.save(path, embedder)
-    loaded = VectorIndex.load(path, embedder)
-    assert list(loaded.entries()) == list(index.entries())
-    assert loaded.top_k("alpha beta", 2, embedder) == index.top_k("alpha beta", 2, embedder)
-    path2 = tmp_path / "vec2.jsonl"
-    loaded.save(path2, embedder)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_load_rejects_other_embedder(tmp_path):
-    embedder = HashedBagEmbedder(dimension=16)
-    index = VectorIndex(dimension=16)
-    index.upsert(0, "text", embedder)
-    path = tmp_path / "vec.jsonl"
-    index.save(path, embedder)
-    with pytest.raises(EmbedderMismatch):
-        VectorIndex.load(path, HashedBagEmbedder(dimension=8))
-
-
 # -- partial selection against a full lexsort --------------------------------
 
 
@@ -287,70 +264,16 @@ def test_top_k_exact_across_growth_and_re_upserts():
     assert len(index) == len(live) == 700
 
 
-def test_save_writes_the_json_lines_format(tmp_path):
-    # the snapshot format is unchanged by how rows are stored: header, then
-    # one record per key in first-insertion order with its latest vector
-    embedder = FixtureEmbedder({"a": [1.0, 0.5], "b": [0.0, -2.0], "c": [3.0, 0.25]})
-    index = VectorIndex(dimension=2)
-    for key, text in [(9, "a"), (2, "b"), (5, "c")]:
-        index.upsert(key, text, embedder)
-    index.upsert(9, "c", embedder)
-    path = tmp_path / "vec.jsonl"
-    index.save(path, embedder)
-    assert path.read_text(encoding="utf-8") == (
-        '{"embedder":"fixture","dimension":2,"count":3}\n'
-        '{"key":9,"text":"c","values":[3.0,0.25]}\n'
-        '{"key":2,"text":"b","values":[0.0,-2.0]}\n'
-        '{"key":5,"text":"c","values":[3.0,0.25]}\n'
-    )
-
-
-def test_load_rejects_truncated_file(tmp_path):
-    embedder = HashedBagEmbedder(dimension=16)
-    index = VectorIndex(dimension=16)
-    for key, text in enumerate(["alpha", "beta gamma", "delta"]):
-        index.upsert(key, text, embedder)
-    path = tmp_path / "vec.jsonl"
-    index.save(path, embedder)
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text("".join(lines[:-1]), encoding="utf-8")  # cut at a line boundary
-    with pytest.raises(ParseError, match="2 records, its header says 3"):
-        VectorIndex.load(path, embedder)
-
-
-def test_load_rejects_header_count_the_file_cannot_hold(tmp_path):
-    embedder = HashedBagEmbedder(dimension=16)
-    path = tmp_path / "vec.jsonl"
-    path.write_text('{"embedder":"hash","dimension":16,"count":1000000000000}\n',
-                    encoding="utf-8")
-    with pytest.raises(ParseError, match="invalid header count"):
-        VectorIndex.load(path, embedder)
-
-
-def test_load_rejects_non_numeric_values(tmp_path):
-    path = tmp_path / "vec.jsonl"
-    path.write_text('{"embedder":"hash","dimension":2,"count":1}\n'
-                    '{"key":0,"text":"a","values":["x",1]}\n', encoding="utf-8")
-    with pytest.raises(ParseError, match="line 2"):
-        VectorIndex.load(path, HashedBagEmbedder(dimension=2))
-
-
-def test_load_rejects_record_of_another_dimension(tmp_path):
-    path = tmp_path / "vec.jsonl"
-    path.write_text('{"embedder":"hash","dimension":2,"count":1}\n'
-                    '{"key":0,"text":"a","values":[1.0,2.0,3.0]}\n', encoding="utf-8")
-    with pytest.raises(DimensionMismatch):
-        VectorIndex.load(path, HashedBagEmbedder(dimension=2))
-
-
 def test_first_write_back_after_load_does_not_copy_the_rows(tmp_path):
     embedder = HashedBagEmbedder(dimension=16)
-    index = VectorIndex(dimension=16)
+    corpus_path = write_corpus(tmp_path / "corpus.jsonl", TWO_HOP_CORPUS)
+    corpus = ingest_corpus(corpus_path)
+    graph = KnowledgeGraph()
     for key in range(64):
-        index.upsert(key, f"text {key}", embedder)
-    path = tmp_path / "vec.jsonl"
-    index.save(path, embedder)
-    loaded = VectorIndex.load(path, embedder)
+        graph.insert(f"entity {key}", "r", f"entity {key + 1}", "doc:d1", 0)
+    stores = Stores(graph, *embed_indexes(graph, corpus, embedder), corpus)
+    save_stores(stores, tmp_path / "snap", embedder, corpus_path)
+    loaded = load_stores(tmp_path / "snap", embedder).triple_index
     matrix = loaded._matrix
     for key in range(64, 72):
         loaded.upsert(key, f"text {key}", embedder)
