@@ -23,10 +23,10 @@ from .embedders import make_embedder
 from .errors import ConfigError, SubhopError
 from .gateway import Gateway
 from .indexer import build_graph_index, ingest_corpus
-from .kg import KnowledgeGraph, encode_record
+from .kg import encode_record
 from .remote import RemoteBackend
 from .solver import solve, trace_to_json, write_trace
-from .stores import GRAPH_FILE, load_stores, save_stores, snapshot_exists, Stores
+from .stores import load_graph, load_stores, save_stores, snapshot_exists, Stores
 from .stub import StubBackend, load_stub_script
 from .templates import TemplateRegistry
 
@@ -218,7 +218,7 @@ def cmd_graph(args: argparse.Namespace, config: Config) -> int:
     if not snapshot_exists(config.snapshot_dir):
         print(f"error: no snapshot in {config.snapshot_dir}", file=sys.stderr)
         return EXIT_MISSING
-    graph = KnowledgeGraph.load(Path(config.snapshot_dir) / GRAPH_FILE)
+    graph = load_graph(config.snapshot_dir)
     if args.graph_command == "stats":
         stats = graph.stats()
         print(f"triples: {stats.triple_count}")

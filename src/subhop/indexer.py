@@ -184,15 +184,12 @@ def embed_indexes(
     so building an index and loading a snapshot both call this.
     """
     triple_index = VectorIndex(dimension=embedder.dimension)
-    # an eighth spare for write-backs, so the first ones do not copy every
-    # row; rows never written take no memory
+    # an eighth spare for write-backs, so the first ones do not copy every row
     triple_index.reserve(len(graph) + len(graph) // 8)
-    for triple in graph:
-        triple_index.upsert(triple.id, verbalize_triple(triple), embedder)
+    triple_index.extend(((t.id, verbalize_triple(t)) for t in graph), embedder)
     passage_index = VectorIndex(dimension=embedder.dimension)
     passage_index.reserve(len(corpus))
-    for position, doc in enumerate(corpus.documents):
-        passage_index.upsert(position, passage_text(doc), embedder)
+    passage_index.extend(enumerate(map(passage_text, corpus.documents)), embedder)
     return triple_index, passage_index
 
 

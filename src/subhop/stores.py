@@ -139,6 +139,22 @@ def load_manifest(snapshot_dir: str | Path) -> dict:
     return manifest
 
 
+def _check_count(what: str, found: int, recorded: object) -> None:
+    if found != recorded:
+        raise ParseError(f"snapshot has {found} {what}, its manifest records {recorded}")
+
+
+def load_graph(snapshot_dir: str | Path, manifest: dict | None = None) -> KnowledgeGraph:
+    """The snapshot's graph; raises ParseError if it does not hold as many
+    triples as the manifest records."""
+    root = Path(snapshot_dir)
+    if manifest is None:
+        manifest = load_manifest(root)
+    graph = KnowledgeGraph.load(root / GRAPH_FILE)
+    _check_count("graph triples", len(graph), manifest.get("triples"))
+    return graph
+
+
 def load_stores(
     snapshot_dir: str | Path,
     embedder: Embedder,
@@ -162,15 +178,9 @@ def load_stores(
     source = Path(corpus_path) if corpus_path else Path(manifest.get("corpus_path", ""))
     if _file_sha256(source) != manifest.get("corpus_sha256"):
         raise CorpusMismatch(f"corpus {source} changed since the snapshot was indexed")
-    graph = KnowledgeGraph.load(root / GRAPH_FILE)
+    graph = load_graph(root, manifest)
     corpus = ingest_corpus(source)
-    counts = {
-        "graph triples": (len(graph), manifest.get("triples")),
-        "corpus documents": (len(corpus), manifest.get("passages")),
-    }
-    for what, (found, recorded) in counts.items():
-        if found != recorded:
-            raise ParseError(f"snapshot has {found} {what}, its manifest records {recorded}")
+    _check_count("corpus documents", len(corpus), manifest.get("passages"))
     triple_index, passage_index = embed_indexes(graph, corpus, embedder)
     return Stores(
         graph=graph,

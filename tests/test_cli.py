@@ -247,6 +247,19 @@ def test_truncated_snapshot_exits_4(env, capsys):
     assert "its manifest records" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["stats"], ["export", "--format", "edgelist"]])
+def test_graph_on_truncated_snapshot_exits_4(env, capsys, command):
+    do_index(env)
+    path = env["snapshot"] / "graph.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]), encoding="utf-8")
+    capsys.readouterr()
+    assert run(base_args(env, "ask_script") + ["graph", *command]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "snapshot has 2 graph triples, its manifest records 3" in captured.err
+
+
 def test_ask_with_other_embedding_dimension_exits_4(env, capsys):
     do_index(env)
     args = base_args(env, "ask_script") + ["--embedding-dim", "128", "ask", TWO_HOP_QUESTION]

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -9,10 +10,11 @@ from subhop.embedders import Embedding, FixtureEmbedder, HashedBagEmbedder
 from subhop.errors import DimensionMismatch
 from subhop.indexer import embed_indexes, ingest_corpus
 from subhop.kg import KnowledgeGraph, Triple, dedup_key
+from subhop.solver import QuestionTrace, SubAnswer, trace_to_json
 from subhop.stores import Stores, load_stores, save_stores
 from subhop.vector import VectorIndex, verbalize_triple
 
-from helpers import TWO_HOP_CORPUS, oracle_cosine_top_k, write_corpus
+from helpers import TWO_HOP_CORPUS, index_rows, oracle_cosine_top_k, write_corpus
 
 
 def make_index(vectors: dict[int, list[float]]) -> tuple[VectorIndex, FixtureEmbedder]:
@@ -279,3 +281,143 @@ def test_first_write_back_after_load_does_not_copy_the_rows(tmp_path):
         loaded.upsert(key, f"text {key}", embedder)
     assert loaded._matrix is matrix
     assert len(loaded) == 72 and loaded.text_for(70) == "text 70"
+
+
+# -- sparse-column scan and selection from the top ---------------------------
+
+
+def test_scan_matches_oracle_on_sparse_and_dense_queries():
+    rng = np.random.default_rng(21)
+    vectors = {key: rng.normal(size=16).tolist() for key in range(300)}
+    index, embedder = make_index(vectors)
+    sparse = np.zeros(16)
+    sparse[[1, 6, 7, 12]] = rng.normal(size=4)
+    dense = rng.normal(size=16)
+    assert np.all(dense != 0.0)
+    for name, query in (("sparse", sparse), ("dense", dense)):
+        embedder.add(name, query.tolist())
+        got = index.top_k(name, len(vectors), embedder)
+        want = oracle_cosine_top_k(vectors, query.tolist(), len(vectors))
+        assert [key for key, _ in got] == [key for key, _ in want]
+        for (_, gs), (_, ws) in zip(got, want):
+            assert abs(gs - ws) <= 1e-12
+
+
+def test_scan_is_bit_equal_to_a_full_row_major_product_on_integer_vectors():
+    rng = np.random.default_rng(22)
+    vectors = tie_heavy_vectors(rng, 500, dim=32)
+    embedder = FixtureEmbedder({}, default=[0.0] * 32)
+    index = VectorIndex(dimension=32)
+    fill(index, embedder, vectors)
+    n = len(index)
+    matrix, norms = index._matrix[:n], index._norms[:n]
+    row_major = np.ascontiguousarray(matrix)
+    sparse = np.zeros(32)
+    sparse[[0, 9, 30]] = [2.0, -1.0, 1.0]
+    dense = rng.choice([-2.0, -1.0, 1.0, 3.0], size=32)
+    for query in (sparse, dense):
+        query_norm = float(np.linalg.norm(query))
+        denom = norms * query_norm
+        want = np.zeros(n)
+        want[denom > 0.0] = (row_major @ query)[denom > 0.0] / denom[denom > 0.0]
+        got = vector.cosine_scores(matrix, norms, query, query_norm)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_rows_zero_in_a_negative_query_score_positive_zero():
+    dim = 8
+    query = [-1.0, 0.0, -2.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    rows = {0: [0.0, 3.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0],
+            1: [0.0, 0.0, 0.0, -2.0, 0.0, 0.0, 0.0, 1.0],
+            2: [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}
+    index, embedder = make_index(rows)
+    embedder.add("q", query)
+    n = len(index)
+    scores = vector.cosine_scores(index._matrix[:n], index._norms[:n], np.array(query),
+                                  float(np.linalg.norm(query)))
+    assert scores[0] == scores[1] == 0.0
+    assert not np.signbit(scores[:2]).any()
+    hits = index.top_k("q", 3, embedder)
+    assert hits[:2] == [(0, 0.0), (1, 0.0)] and hits[2][1] < 0.0
+    sub = SubAnswer(0, "q", "q", hits, False, "", [])
+    text = trace_to_json(QuestionTrace("z", "q", sub_answers=[sub]))
+    assert "-0.0" not in text
+    assert json.loads(text)["sub_answers"][0]["retrieved"][:2] == [[0, 0.0], [1, 0.0]]
+
+
+def test_selection_matches_lexsort_when_most_scores_are_zero():
+    rng = np.random.default_rng(23)
+    dim = 32
+    vectors = {}
+    for key in rng.choice(20000, size=2000, replace=False):
+        values = np.zeros(dim)
+        values[rng.choice(np.arange(4, dim), size=3, replace=False)] = rng.integers(1, 3, 3)
+        if rng.random() < 0.06:  # a few rows share a query column
+            values[rng.integers(0, 4)] = rng.choice([-1.0, 1.0])
+        vectors[int(key)] = values
+    embedder = FixtureEmbedder({}, default=[0.0] * dim)
+    index = VectorIndex(dimension=dim)
+    fill(index, embedder, vectors)
+    query = np.zeros(dim)
+    query[:4] = [1.0, -1.0, 2.0, 1.0]
+    embedder.add("q", query.tolist())
+    n = len(index)
+    scores = vector.cosine_scores(index._matrix[:n], index._norms[:n], query,
+                                  float(np.linalg.norm(query)))
+    assert np.mean(scores == 0.0) > 0.9
+    assert (scores < 0.0).any() and (scores > 0.0).any()
+    for k in (1, 5, n):
+        assert index.top_k("q", k, embedder) == lexsort_oracle(vectors, query, k)
+
+
+def test_scan_reads_only_the_query_columns():
+    rng = np.random.default_rng(24)
+    vectors = {key: rng.normal(size=12).tolist() for key in range(100)}
+    index, embedder = make_index(vectors)
+    query = np.zeros(12)
+    query[[2, 5]] = [0.5, -1.5]
+    embedder.add("q", query.tolist())
+    before = index.top_k("q", 100, embedder)
+    index._matrix[:, np.flatnonzero(query == 0.0)] = np.nan
+    n = len(index)
+    scores = vector.cosine_scores(index._matrix[:n], index._norms[:n], query,
+                                  float(np.linalg.norm(query)))
+    assert np.isfinite(scores).all()
+    assert index.top_k("q", 100, embedder) == before
+
+
+# -- column-major layout and the bulk fill -----------------------------------
+
+
+def test_matrix_stays_column_major_and_bulk_fill_equals_upserts(tmp_path):
+    embedder = HashedBagEmbedder(dimension=16)
+    items = [(3 * key + 1, f"entity {key} related to entity {key % 7}") for key in range(1100)]
+    filled = VectorIndex(dimension=16)
+    assert filled._matrix.flags.f_contiguous
+    filled.extend(items[:5], embedder)  # grows from empty
+    filled.extend(iter(items[5:]), embedder)  # crosses blocks and grows again
+    assert filled._matrix.flags.f_contiguous
+    upserted = VectorIndex(dimension=16)
+    for key, text in items:
+        upserted.upsert(key, text, embedder)
+        assert upserted._matrix.flags.f_contiguous
+    assert index_rows(filled) == index_rows(upserted)
+    for key, text in items[:3]:
+        assert filled.text_for(key) == text
+    with pytest.raises(ValueError):
+        filled.extend([(1, "again")], embedder)
+    with pytest.raises(ValueError):
+        filled.extend([(9000, "a"), (9000, "b")], embedder)
+    assert index_rows(filled) == index_rows(upserted)
+
+    corpus_path = write_corpus(tmp_path / "corpus.jsonl", TWO_HOP_CORPUS)
+    corpus = ingest_corpus(corpus_path)
+    graph = KnowledgeGraph()
+    for key in range(40):
+        graph.insert(f"entity {key}", "r", f"entity {key + 1}", "doc:d1", 0)
+    stores = Stores(graph, *embed_indexes(graph, corpus, embedder), corpus)
+    save_stores(stores, tmp_path / "snap", embedder, corpus_path)
+    loaded = load_stores(tmp_path / "snap", embedder)
+    for index in (loaded.triple_index, loaded.passage_index):
+        assert index._matrix.flags.f_contiguous
+    assert index_rows(loaded.triple_index) == index_rows(stores.triple_index)
