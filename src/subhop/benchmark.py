@@ -85,6 +85,18 @@ def _require_str(record: dict, key: str, where: str) -> str:
     return value
 
 
+def _require_id(record: dict, key: str, where: str, seen: set[str]) -> str:
+    """The example id, which names its trace file ``<id>.json``: it must be
+    unique in the dataset and contain no path separator or NUL byte."""
+    value = _require_str(record, key, where)
+    if any(sep in value for sep in ("/", "\\", "\0")):
+        raise ParseError(f"id {value!r} in {where} is not a file name")
+    if value in seen:
+        raise ParseError(f"duplicate id {value!r} in {where}")
+    seen.add(value)
+    return value
+
+
 def _gold_list(value: object, where: str) -> list[str]:
     if isinstance(value, str):
         golds = [value]
@@ -132,13 +144,14 @@ def load_dataset(path: str | Path, format: str = "generic") -> list[QAExample]:
     generic: line-JSON {"id", "question", "answers": [...]}. The three
     benchmark adapters map each native layout onto the same shape.
     """
+    seen: set[str] = set()
     if format == "generic":
         examples = []
         for lineno, record in _load_jsonl(path):
             where = f"line {lineno}"
             examples.append(
                 QAExample(
-                    id=_require_str(record, "id", where),
+                    id=_require_id(record, "id", where, seen),
                     question=_require_str(record, "question", where),
                     gold_answers=_gold_list(record.get("answers"), where),
                 )
@@ -151,7 +164,7 @@ def load_dataset(path: str | Path, format: str = "generic") -> list[QAExample]:
             where = f"entry {i}"
             examples.append(
                 QAExample(
-                    id=_require_str(record, "_id", where),
+                    id=_require_id(record, "_id", where, seen),
                     question=_require_str(record, "question", where),
                     gold_answers=_gold_list(record.get("answer"), where),
                 )
@@ -168,7 +181,7 @@ def load_dataset(path: str | Path, format: str = "generic") -> list[QAExample]:
                 golds.extend(a for a in aliases if isinstance(a, str) and a)
             examples.append(
                 QAExample(
-                    id=_require_str(record, "id", where),
+                    id=_require_id(record, "id", where, seen),
                     question=_require_str(record, "question", where),
                     gold_answers=golds,
                 )

@@ -142,15 +142,16 @@ def validate_triple_rows(raw: object) -> list[TripleRow]:
 
 
 def extract_triples(
-    doc: Document, gateway: Gateway, char_budget: int = DEFAULT_CHAR_BUDGET
+    text: str, gateway: Gateway, char_budget: int = DEFAULT_CHAR_BUDGET
 ) -> list[TripleRow]:
-    """Ask the LLM for the triples stated in one document.
+    """Ask the LLM for the triples stated in ``text``, one request per
+    chunk of ``split_for_extraction``.
 
     StructuredParseError (after the gateway's own retry) propagates so the
-    caller can record the document as unextracted.
+    caller can record the text as unextracted.
     """
     triples: list[TripleRow] = []
-    for chunk in split_for_extraction(doc.text, char_budget):
+    for chunk in split_for_extraction(text, char_budget):
         raw = gateway.complete_structured(
             ChatRequest("extract_triples", {"document": chunk}), expect="array"
         )
@@ -177,8 +178,8 @@ class IndexReport:
 def embed_indexes(
     graph: KnowledgeGraph, corpus: Corpus, embedder: Embedder
 ) -> tuple[VectorIndex, VectorIndex]:
-    """Embed both vector indexes: one row per graph triple, keyed by its
-    id, and one row per document, keyed by its corpus position.
+    """Embed both vector indexes: one row per graph triple, at its id,
+    and one row per document, at its corpus position.
 
     Every row is ``embedder.embed`` of text the graph or the corpus holds,
     so building an index and loading a snapshot both call this.
@@ -186,10 +187,10 @@ def embed_indexes(
     triple_index = VectorIndex(dimension=embedder.dimension)
     # an eighth spare for write-backs, so the first ones do not copy every row
     triple_index.reserve(len(graph) + len(graph) // 8)
-    triple_index.extend(((t.id, verbalize_triple(t)) for t in graph), embedder)
+    triple_index.extend(map(verbalize_triple, graph), embedder)
     passage_index = VectorIndex(dimension=embedder.dimension)
     passage_index.reserve(len(corpus))
-    passage_index.extend(enumerate(map(passage_text, corpus.documents)), embedder)
+    passage_index.extend(map(passage_text, corpus.documents), embedder)
     return triple_index, passage_index
 
 
@@ -207,7 +208,7 @@ def build_graph_index(
 
     def _extract(doc: Document) -> list[TripleRow] | None:
         try:
-            return extract_triples(doc, gateway, char_budget)
+            return extract_triples(doc.text, gateway, char_budget)
         except StructuredParseError:
             logger.warning("extraction failed for document %s", doc.id)
             return None

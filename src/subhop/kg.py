@@ -84,9 +84,7 @@ class KnowledgeGraph:
 
     def __init__(self) -> None:
         self._triples: list[Triple] = []
-        self._by_id: dict[int, Triple] = {}
         self._key_index: dict[DedupKey, int] = {}
-        self._next_id = 0
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -112,8 +110,7 @@ class KnowledgeGraph:
         existing = self._key_index.get(key)
         if existing is not None:
             return existing, False
-        triple = Triple(self._next_id, *fields, provenance, step)
-        self._next_id += 1
+        triple = Triple(len(self._triples), *fields, provenance, step)
         self._store(triple, key)
         return triple.id, True
 
@@ -126,14 +123,13 @@ class KnowledgeGraph:
 
     def _store(self, triple: Triple, key: DedupKey) -> None:
         self._triples.append(triple)
-        self._by_id[triple.id] = triple
         self._key_index[key] = triple.id
 
     def lookup(self, triple_id: int) -> Triple:
-        try:
-            return self._by_id[triple_id]
-        except KeyError:
-            raise UnknownId(triple_id) from None
+        """The triple with this id; UnknownId unless 0 <= id < len(self)."""
+        if 0 <= triple_id < len(self._triples):
+            return self._triples[triple_id]
+        raise UnknownId(triple_id)
 
     def stats(self) -> GraphStats:
         # an entity is a head or tail under the dedup key's casefolding;
@@ -157,24 +153,23 @@ class KnowledgeGraph:
 
     @classmethod
     def load(cls, path: str | Path) -> "KnowledgeGraph":
+        """Read what ``save`` wrote. Ids must run 0..n-1 in file order;
+        a gap, a repeat or a reordering raises ParseError."""
         graph = cls()
-        max_id = -1
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
                 triple = _decode_record(line, lineno)
-                if triple.id in graph._by_id:
-                    raise ParseError(f"duplicate triple id {triple.id}", line=lineno)
+                if triple.id != len(graph):
+                    raise ParseError(f"triple id {triple.id}, expected {len(graph)}", line=lineno)
                 key = triple.key()
                 if key in graph._key_index:
                     raise DuplicateKeyError(
                         f"line {lineno}: dedup key {key} already present"
                     )
                 graph._store(triple, key)
-                max_id = max(max_id, triple.id)
-        graph._next_id = max_id + 1
         return graph
 
 
@@ -207,7 +202,7 @@ def _decode_record(line: str, lineno: int) -> Triple:
         step = record["step"]
     except KeyError as exc:
         raise ParseError(f"missing field {exc.args[0]!r}", line=lineno) from None
-    if not isinstance(triple_id, int) or not isinstance(step, int):
+    if type(triple_id) is not int or type(step) is not int:  # JSON true is not 1
         raise ParseError("id and step must be integers", line=lineno)
     for name, value in (("head", head), ("relation", relation), ("tail", tail),
                         ("provenance", provenance)):

@@ -106,10 +106,14 @@ class RemoteBackend:
             text = data["choices"][0]["message"]["content"]
         except (json.JSONDecodeError, KeyError, IndexError, TypeError):
             raise BackendError(200, f"malformed completion payload: {body[:200]}") from None
-        usage = data.get("usage") or {}
+        usage = data.get("usage")
+        if not isinstance(usage, dict):
+            usage = {}
+        # a count that is missing or not an integer reads as 0 tokens
+        prompt, completion = usage.get("prompt_tokens"), usage.get("completion_tokens")
         return BackendResult(
             text=text if isinstance(text, str) else "",
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
+            prompt_tokens=prompt if type(prompt) is int else 0,
+            completion_tokens=completion if type(completion) is int else 0,
             attempts=attempts,
         )

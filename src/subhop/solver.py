@@ -26,7 +26,7 @@ from .decompose import (
 from .embedders import Embedder
 from .errors import LLM_FAILURES, BudgetExceeded, EmptyField, MissingDependency
 from .gateway import ChatRequest, Gateway
-from .indexer import TripleRow, validate_triple_rows
+from .indexer import DEFAULT_CHAR_BUDGET, TripleRow, extract_triples
 from .kg import KnowledgeGraph, Triple
 from .stores import Stores
 from .vector import VectorIndex, verbalize
@@ -110,8 +110,9 @@ def answer_from_triples(
     """Ask the generator to answer from the candidate triples only.
 
     Evidence discipline: reported triple ids outside the candidate set are
-    filtered, and a claimed answer without any surviving evidence id is
-    coerced to unanswerable. Used ids come back ordered by retrieval rank.
+    filtered, as are ids that are not integers (JSON ``true`` is not 1), and
+    a claimed answer without any surviving evidence id is coerced to
+    unanswerable. Used ids come back ordered by retrieval rank.
     """
     if not candidates:
         return False, "", []
@@ -133,7 +134,7 @@ def answer_from_triples(
     rank = {t.id: pos for pos, (t, _) in enumerate(candidates)}
     used: list[int] = []
     for triple_id in payload["used_triple_ids"]:
-        if isinstance(triple_id, int) and triple_id in rank and triple_id not in used:
+        if type(triple_id) is int and triple_id in rank and triple_id not in used:
             used.append(triple_id)
         else:
             logger.warning("dropping reported evidence id %r not in candidates", triple_id)
@@ -159,10 +160,11 @@ def fallback_answer_from_docs(
     embedder: Embedder,
     k_docs: int,
     events: list[str] | None = None,
+    char_budget: int = DEFAULT_CHAR_BUDGET,
 ) -> tuple[str, FallbackEvent]:
     """Corpus-level fallback: retrieve passages, answer from them, and
-    extract candidate triples for the write-back. LLM failures degrade to
-    the UNKNOWN answer; the event is recorded either way."""
+    extract candidate triples for the write-back as indexing does. LLM
+    failures degrade to the UNKNOWN answer; the event is recorded either way."""
     event = FallbackEvent()
     if len(stores.corpus) == 0:
         logger.warning("fallback requested with empty corpus")
@@ -191,10 +193,7 @@ def fallback_answer_from_docs(
         if events is not None:
             events.append("fallback:answer_failure")
     try:
-        raw = gateway.complete_structured(
-            ChatRequest("extract_triples", {"document": doc_block}), expect="array"
-        )
-        event.new_triples = validate_triple_rows(raw)
+        event.new_triples = extract_triples(doc_block, gateway, char_budget)
     except LLM_FAILURES:
         logger.warning("triple extraction failed during fallback")
         if events is not None:
@@ -230,7 +229,7 @@ def update_graph_with_new_triples(
         triple_id, _ = graph.insert(
             *fields, provenance=f"dynamic:{question_id}", step=step
         )
-        triple_index.upsert(triple_id, text, embedder, embedding)
+        triple_index.upsert(triple_id, text, embedding)
         event.written_back_ids.append(triple_id)
     return event
 
@@ -351,7 +350,8 @@ def _solve_step(
     retrieved_after: list[tuple[int, float]] | None = None
     if not answerable:
         doc_answer, fallback = fallback_answer_from_docs(
-            rewritten, stores, gw, embedder, config.k_docs, events=events
+            rewritten, stores, gw, embedder, config.k_docs, events=events,
+            char_budget=config.extract_char_budget,
         )
         if config.graph_update:
             with stores.lock.write():

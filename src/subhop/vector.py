@@ -56,15 +56,15 @@ def verbalize_triple(t: Triple) -> str:
 
 
 class VectorIndex:
-    """In-memory map from integer keys to (text, embedding).
+    """Append-only map from row numbers to (text, embedding). A row's key
+    is its position: the triple id in the triple index, the corpus
+    position in the passage index.
 
-    Rows live in preallocated arrays (a float64 matrix, its row norms and
-    the int64 keys) that double in capacity when full, so a write never
-    invalidates anything: a new key fills the next free row, a re-upserted
-    key overwrites its own row in place. The row, norm and key are written
-    before the row count moves, so a reader that takes the count once and
-    slices ``[:n]`` sees only complete rows. Growing swaps in larger copies;
-    overwriting a row in place still needs the caller's writer lock.
+    Rows live in preallocated arrays (a float64 matrix and its row norms)
+    that double in capacity when full, so an append never invalidates
+    anything. The row and its norm are written before the row count moves,
+    so a reader that takes the count once and slices ``[:n]`` sees only
+    complete rows. Growing swaps in larger copies.
 
     The matrix is column-major, so the scan reads each column it needs as
     one contiguous run; ``extend`` fills many rows a block at a time.
@@ -75,9 +75,7 @@ class VectorIndex:
         self._n = 0
         self._matrix = np.empty((0, dimension or 0), dtype=np.float64, order="F")
         self._norms = np.empty(0, dtype=np.float64)
-        self._keys = np.empty(0, dtype=np.int64)
         self._texts: list[str] = []
-        self._pos: dict[int, int] = {}
 
     def __len__(self) -> int:
         return self._n
@@ -87,11 +85,7 @@ class VectorIndex:
         return self._dimension
 
     def entries(self) -> Iterator[tuple[int, str]]:
-        n = self._n
-        return zip(self._keys[:n].tolist(), self._texts[:n])
-
-    def text_for(self, key: int) -> str:
-        return self._texts[self._pos[key]]
+        return enumerate(self._texts[: self._n])
 
     def _check_embedder(self, embedder: Embedder) -> None:
         if self._dimension is None:
@@ -102,7 +96,7 @@ class VectorIndex:
             )
 
     def embed(self, text: str, embedder: Embedder) -> Embedding:
-        """The embedding ``upsert`` would store for ``text``; raises
+        """The embedding of ``text`` that a row stores; raises
         DimensionMismatch, before anything is written, if it does not fit."""
         self._check_embedder(embedder)
         emb = embedder.embed(text)
@@ -112,33 +106,23 @@ class VectorIndex:
             )
         return emb
 
-    def upsert(
-        self, key: int, text: str, embedder: Embedder, embedding: Embedding | None = None
-    ) -> None:
-        """Store ``text`` under ``key``, replacing the key's entry. A caller
-        that already holds ``embed(text, embedder)`` passes it as
-        ``embedding``; nothing else may be passed there, since it is not
-        checked again."""
-        emb = self.embed(text, embedder) if embedding is None else embedding
-        pos = self._pos.get(key)
-        if pos is not None:
-            self._matrix[pos] = emb.values
-            self._norms[pos] = emb.norm
-            self._texts[pos] = text
-            return
+    def upsert(self, key: int, text: str, embedding: Embedding) -> None:
+        """Append ``text`` as row ``key``, which must be the next row,
+        ``len(self)``; any other key raises ValueError, so the index cannot
+        drift apart from the list it mirrors. ``embedding`` must be
+        ``embed(text, embedder)``; it is not checked again."""
         pos = self._n
-        if pos == len(self._keys):
+        if key != pos:
+            raise ValueError(f"upsert of key {key}, the next row is {pos}")
+        if pos == len(self._norms):
             self._grow(max(16, 2 * pos))
-        self._matrix[pos] = emb.values
-        self._norms[pos] = emb.norm
-        self._keys[pos] = key
+        self._matrix[pos] = embedding.values
+        self._norms[pos] = embedding.norm
         self._texts.append(text)
-        self._pos[key] = pos
         self._n = pos + 1
 
-    def extend(self, items: Iterable[tuple[int, str]], embedder: Embedder) -> None:
-        """Append one row per ``(key, text)``, each the row ``upsert`` would
-        write. Keys must be new and distinct.
+    def extend(self, texts: Iterable[str], embedder: Embedder) -> None:
+        """Append one row per text, each the row ``upsert`` would write.
 
         Each embedding is copied into a small row-major block as soon as
         it is made, so its memory is reused while still in cache, and the
@@ -148,31 +132,25 @@ class VectorIndex:
         """
         self._check_embedder(embedder)
         block = np.empty((FILL_BLOCK_ROWS, self._dimension), dtype=np.float64)
-        items = iter(items)
-        while batch := list(islice(items, FILL_BLOCK_ROWS)):
+        texts = iter(texts)
+        while batch := list(islice(texts, FILL_BLOCK_ROWS)):
             start, end = self._n, self._n + len(batch)
-            keys = [key for key, _ in batch]
-            positions = dict(zip(keys, range(start, end)))
-            if len(positions) < len(batch) or not self._pos.keys().isdisjoint(positions):
-                raise ValueError("extend needs keys that are new and distinct")
             norms = []
-            for row, (_, text) in enumerate(batch):
+            for row, text in enumerate(batch):
                 emb = self.embed(text, embedder)
                 block[row] = emb.values
                 norms.append(emb.norm)
-            if end > len(self._keys):
+            if end > len(self._norms):
                 self._grow(max(16, 2 * start, end))
             self._matrix[start:end] = block[: len(batch)]
             self._norms[start:end] = norms
-            self._keys[start:end] = keys
-            self._texts.extend(text for _, text in batch)
-            self._pos.update(positions)
+            self._texts.extend(batch)
             self._n = end
 
     def reserve(self, capacity: int) -> None:
         """Make room for ``capacity`` rows, so inserting that many never
         copies the arrays."""
-        if capacity > len(self._keys):
+        if capacity > len(self._norms):
             self._grow(capacity)
 
     def _grow(self, capacity: int) -> None:
@@ -180,11 +158,9 @@ class VectorIndex:
         n = self._n
         matrix = np.empty((capacity, self._dimension), dtype=np.float64, order="F")
         norms = np.empty(capacity, dtype=np.float64)
-        keys = np.empty(capacity, dtype=np.int64)
         matrix[:n] = self._matrix[:n]
         norms[:n] = self._norms[:n]
-        keys[:n] = self._keys[:n]
-        self._matrix, self._norms, self._keys = matrix, norms, keys
+        self._matrix, self._norms = matrix, norms
 
     def top_k(self, query_text: str, k: int, embedder: Embedder) -> list[tuple[int, float]]:
         """Exact top-k by cosine score, descending, ties by ascending key.
@@ -199,7 +175,6 @@ class VectorIndex:
             return []
         self._check_embedder(embedder)
         query = embedder.embed(query_text)
-        keys = self._keys[:n]
         scores = cosine_scores(self._matrix[:n], self._norms[:n], query.values, query.norm)
         k = min(k, n)
         if k < n:
@@ -211,5 +186,6 @@ class VectorIndex:
             candidates = np.flatnonzero(scores >= kth)
         else:
             candidates = np.arange(n)
-        order = np.lexsort((keys[candidates], -scores[candidates]))[:k]
-        return [(int(keys[i]), float(scores[i])) for i in candidates[order]]
+        # candidates ascend, so a stable sort keeps tied rows by ascending key
+        order = np.argsort(-scores[candidates], kind="stable")[:k]
+        return [(int(i), float(scores[i])) for i in candidates[order]]

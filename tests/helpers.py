@@ -11,7 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from subhop.config import Config
-from subhop.embedders import FixtureEmbedder, basis_vector
+from subhop.embedders import Embedder, FixtureEmbedder, basis_vector
 from subhop.gateway import Gateway
 from subhop.indexer import build_graph_index, ingest_corpus
 from subhop.stores import Stores
@@ -45,6 +45,14 @@ def oracle_cosine_top_k(
         scored.append((key, score))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[: min(k, len(scored))]
+
+
+def append_row(index: VectorIndex, text: str, embedder: Embedder) -> int:
+    """Append ``text`` as the index's next row, as a write-back does, and
+    return its key."""
+    key = len(index)
+    index.upsert(key, text, index.embed(text, embedder))
+    return key
 
 
 def index_rows(index: VectorIndex) -> tuple[list[tuple[int, str]], bytes, bytes]:

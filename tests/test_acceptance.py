@@ -30,6 +30,7 @@ from subhop.vector import VectorIndex
 from helpers import (
     TWO_HOP_QID,
     TWO_HOP_QUESTION,
+    append_row,
     build_benchmark_fixture,
     build_benchmark_world,
     build_two_hop_world,
@@ -84,7 +85,7 @@ def test_retrieval_oracle():
         embedder = FixtureEmbedder(texts)
         index = VectorIndex(dimension=16)
         for key in range(size):
-            index.upsert(key, f"e{key}", embedder)
+            append_row(index, f"e{key}", embedder)
         k = int(rng.integers(1, 11))
         got = index.top_k("q", k, embedder)
         want = oracle_cosine_top_k(vectors, query, k)

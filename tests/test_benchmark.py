@@ -63,6 +63,21 @@ def test_load_bad_json_array_reports_offset(tmp_path):
         load_dataset(path, "hotpotqa")
 
 
+@pytest.mark.parametrize("second_id", ["1", "../../x", "a/b", "a\\b", "a\0"])
+def test_load_rejects_duplicate_and_path_ids(tmp_path, second_id):
+    # "answers" serves the generic format, "answer" the native ones
+    records = [{"id": "1", "_id": "1", "question": "q1?", "answers": ["a"], "answer": "a"},
+               {"id": second_id, "_id": second_id, "question": "q2?", "answers": ["b"],
+                "answer": "b"}]
+    jsonl = _write(tmp_path / "d.jsonl", "".join(json.dumps(r) + "\n" for r in records))
+    for fmt in ("generic", "musique"):
+        with pytest.raises(ParseError, match=r"id .* in line 2"):
+            load_dataset(jsonl, fmt)
+    array = _write(tmp_path / "native.json", json.dumps(records))
+    with pytest.raises(ParseError, match=r"id .* in entry 1"):
+        load_dataset(array, "hotpotqa")
+
+
 def _trace(answer):
     return QuestionTrace(question_id="t", question="q", final_answer=answer, status="ok")
 

@@ -191,6 +191,21 @@ def test_eval_missing_dataset_exits_3(env):
     assert code == 3
 
 
+@pytest.mark.parametrize("second_id", ["q0", "../../escape"])
+def test_eval_with_duplicate_or_path_id_exits_4(env, capsys, second_id):
+    dataset = _eval_fixture(env)
+    lines = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = lines[1].replace('"q1"', json.dumps(second_id))
+    dataset.write_text("".join(lines), encoding="utf-8")
+    do_index(env)
+    capsys.readouterr()
+    code = run(base_args(env, "ask_script") + ["eval", "--dataset", str(dataset)])
+    assert code == 4
+    assert "in line 2" in capsys.readouterr().err
+    assert not (env["runs"] / "traces").exists()
+    assert not (env["tmp"] / "escape.json").exists()  # where runs/traces/../../ points
+
+
 def test_graph_stats(env, capsys):
     do_index(env)
     capsys.readouterr()

@@ -319,6 +319,20 @@ def test_remote_malformed_completion_payload():
         backend._parse('{"nope": 1}', attempts=1)
 
 
+@pytest.mark.parametrize("usage", [
+    None, [], "12", 7, {"prompt_tokens": None}, {"prompt_tokens": "3", "completion_tokens": 2.0},
+    {"prompt_tokens": True, "completion_tokens": [1]},
+])
+def test_remote_malformed_usage_reads_as_zero_tokens(usage):
+    backend = RemoteBackend(endpoint="http://localhost:1/v1", model="m")
+    payload = {"choices": [{"message": {"content": "ok"}}], "usage": usage}
+    result = backend._parse(json.dumps(payload), attempts=1)
+    assert (result.text, result.prompt_tokens, result.completion_tokens) == ("ok", 0, 0)
+    payload["usage"] = {"prompt_tokens": 5, "completion_tokens": 2}
+    result = backend._parse(json.dumps(payload), attempts=1)
+    assert (result.prompt_tokens, result.completion_tokens) == (5, 2)
+
+
 def test_wire_log_never_contains_api_key(tmp_path):
     log_path = tmp_path / "wire.jsonl"
     with MockChatServer([(200, "ok")]) as server:

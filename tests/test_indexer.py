@@ -14,6 +14,7 @@ from subhop.indexer import (
 )
 from subhop.stores import load_stores, save_stores
 from subhop.stub import rule
+from subhop.vector import verbalize_triple
 
 from helpers import TWO_HOP_CORPUS, build_two_hop_world, stub_gateway, write_corpus
 
@@ -52,18 +53,17 @@ def test_ingest_duplicate_id(tmp_path):
 
 def test_extract_triples_stub_echo():
     gw = stub_gateway([rule("extract_triples", [["Inception", "directed by", "Christopher Nolan"]])])
-    doc = Document("d1", "", "some text")
-    assert extract_triples(doc, gw) == [("Inception", "directed by", "Christopher Nolan")]
+    assert extract_triples("some text", gw) == [("Inception", "directed by", "Christopher Nolan")]
 
 
 def test_extract_drops_empty_field_rows():
     gw = stub_gateway([rule("extract_triples", [["A", "r", ""], ["B", "s", "C"]])])
-    assert extract_triples(Document("d1", "", "text"), gw) == [("B", "s", "C")]
+    assert extract_triples("text", gw) == [("B", "s", "C")]
 
 
 def test_extract_empty_list_is_fine():
     gw = stub_gateway([rule("extract_triples", [])])
-    assert extract_triples(Document("d1", "", "text"), gw) == []
+    assert extract_triples("text", gw) == []
 
 
 def test_validate_triple_rows_filters_garbage():
@@ -104,8 +104,7 @@ def test_long_document_extracted_per_chunk():
         rule("extract_triples", [["A", "is", "first"]], contains="alpha"),
         rule("extract_triples", [["B", "is", "second"]], contains="beta"),
     ])
-    doc = Document("d1", "", text)
-    rows = extract_triples(doc, gw, char_budget=12)
+    rows = extract_triples(text, gw, char_budget=12)
     assert rows == [("A", "is", "first"), ("B", "is", "second")]
 
 
@@ -172,8 +171,9 @@ def test_index_keys_equal_graph_ids():
         rule("extract_triples", [["E", "r", "F"]], contains="two"),
     ])
     embedder = HashedBagEmbedder(dimension=16)
-    graph, triple_index, _, _ = build_graph_index(corpus, gw, embedder)
-    assert {key for key, _ in triple_index.entries()} == {t.id for t in graph}
+    graph, triple_index, passage_index, _ = build_graph_index(corpus, gw, embedder)
+    assert list(triple_index.entries()) == [(t.id, verbalize_triple(t)) for t in graph]
+    assert list(passage_index.entries()) == [(0, "one"), (1, "two")]
     for t in graph:
         assert t.provenance.startswith("doc:")
         assert t.provenance.removeprefix("doc:") in corpus.id_index

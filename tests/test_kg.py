@@ -51,6 +51,11 @@ def test_lookup_unknown_id():
     g = KnowledgeGraph()
     with pytest.raises(UnknownId):
         g.lookup(0)
+    g.insert("A", "r", "B", "doc:d1", 0)
+    g.insert("C", "r", "D", "doc:d1", 0)
+    for triple_id in (-1, -2, 2):  # a negative id is no index from the end
+        with pytest.raises(UnknownId):
+            g.lookup(triple_id)
 
 
 def test_stats():
@@ -118,6 +123,24 @@ def g_dump_lines(g):
     from subhop.kg import encode_record
 
     return [encode_record(t) for t in g]
+
+
+@pytest.mark.parametrize(
+    "ids, line",
+    [([0, 2], 2), ([1, 0], 1), ([0, 1, 1], 3), ([0, True], 2)],
+    ids=["gap", "out-of-order", "repeat", "boolean"],
+)
+def test_load_accepts_only_ids_in_file_order(tmp_path, ids, line):
+    path = tmp_path / "graph.jsonl"
+    records = [
+        {"id": tid, "head": f"H{pos}", "relation": "r", "tail": "T", "provenance": "doc:d1",
+         "step": 0}
+        for pos, tid in enumerate(ids)
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(ParseError) as exc:
+        KnowledgeGraph.load(path)
+    assert exc.value.line == line
 
 
 def test_load_duplicate_dedup_key_rejected(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from subhop.config import Config
 from subhop.embedders import Embedding, FixtureEmbedder, basis_vector
 from subhop.errors import DimensionMismatch, UnknownId
+from subhop.indexer import split_for_extraction
 from subhop.kg import KnowledgeGraph
 from subhop.solver import (
     FallbackEvent,
@@ -25,8 +26,10 @@ from subhop.stub import rule
 from subhop.vector import VectorIndex, verbalize_triple
 
 from helpers import (
+    REGISTRY,
     TWO_HOP_QID,
     TWO_HOP_QUESTION,
+    append_row,
     build_two_hop_world,
     stub_gateway,
     two_hop_ask_rules,
@@ -41,7 +44,7 @@ def small_graph_and_index():
     for i, (h, r, t) in enumerate([("A", "r", "B"), ("C", "r", "D"), ("E", "r", "F")]):
         tid, _ = graph.insert(h, r, t, "doc:d", 0)
         embedder.add(verbalize_triple(graph.lookup(tid)), basis_vector(i, dim))
-        index.upsert(tid, verbalize_triple(graph.lookup(tid)), embedder)
+        assert append_row(index, verbalize_triple(graph.lookup(tid)), embedder) == tid
     return graph, index, embedder
 
 
@@ -98,6 +101,24 @@ def test_answer_from_triples_filters_foreign_ids_and_coerces():
     assert "answer:coerced_unanswerable" in events
 
 
+def test_answer_from_triples_drops_boolean_ids():
+    graph = KnowledgeGraph()
+    graph.insert("A", "r", "B", "doc:d", 0)
+    graph.insert("C", "r", "D", "doc:d", 0)
+    candidates = _candidates(graph, [(0, 0.9), (1, 0.5)])
+    gw = stub_gateway([
+        rule("answer_from_triples",
+             {"answerable": True, "answer": "x", "used_triple_ids": [True]}),
+        rule("answer_from_triples",
+             {"answerable": True, "answer": "x", "used_triple_ids": [False, 1]}),
+    ])
+    events = []
+    assert answer_from_triples("q", candidates, gw, events=events) == (False, "x", [])
+    assert events == ["answer:evidence_filtered", "answer:coerced_unanswerable"]
+    result = answer_from_triples("q", candidates, gw)
+    assert result == (True, "x", [1]) and type(result[2][0]) is int
+
+
 def test_answer_from_triples_orders_used_ids_by_rank():
     graph = KnowledgeGraph()
     for h in ("A", "B", "C"):
@@ -134,6 +155,33 @@ def test_fallback_answer_from_docs(tmp_path):
     assert event.retrieved_doc_ids[0] == "d2"
     assert event.new_triples == [("Christopher Nolan", "spouse", "Emma Thomas")]
     assert event.written_back_ids == []
+
+
+def test_fallback_extracts_the_document_block_per_chunk(tmp_path):
+    world = build_two_hop_world(tmp_path)
+    question = "Who is the spouse of Christopher Nolan?"
+
+    def extract_prompts(**budget):
+        gw = stub_gateway([
+            rule("answer_from_docs", {"answer": "Emma Thomas"}),
+            rule("extract_triples", [["A", "r", "B"]], repeat=True),
+        ])
+        _, event = fallback_answer_from_docs(
+            question, world.stores, gw, world.embedder, 3, **budget
+        )
+        prompts = [e["prompt"] for e in gw.wire_log if e["template"] == "extract_triples"]
+        assert event.new_triples == [("A", "r", "B")] * len(prompts)
+        return prompts, event.retrieved_doc_ids
+
+    whole, doc_ids = extract_prompts()
+    documents = [world.stores.corpus.documents[world.stores.corpus.id_index[d]] for d in doc_ids]
+    doc_block = "\n\n".join(f"[{d.id}] {d.title}\n{d.text}" for d in documents)
+    # within the budget the block goes out whole, as one request
+    assert whole == [REGISTRY.render("extract_triples", {"document": doc_block})]
+    chunks = split_for_extraction(doc_block, 120)
+    assert len(chunks) > 1
+    chunked, _ = extract_prompts(char_budget=120)
+    assert chunked == [REGISTRY.render("extract_triples", {"document": c}) for c in chunks]
 
 
 def test_fallback_empty_corpus(tmp_path):
@@ -176,7 +224,7 @@ def test_update_graph_with_new_triples_dedup(tmp_path):
     new_id = event.written_back_ids[0]
     assert graph.lookup(new_id).provenance == "dynamic:q77"
     assert graph.lookup(new_id).created_at_step == 2
-    assert {key for key, _ in index.entries()} == {t.id for t in graph}
+    assert list(index.entries()) == [(t.id, verbalize_triple(t)) for t in graph]
 
 
 @pytest.mark.parametrize(
@@ -208,8 +256,7 @@ def test_failed_write_back_embed_keeps_graph_and_index_in_sync(tmp_path, failure
         update_graph_with_new_triples(graph, index, event, "q9", 2, FailsOnSecondTriple())
     assert len(graph) == len(index) == before + 1
     assert event.written_back_ids == [before]
-    assert {key for key, _ in index.entries()} == {t.id for t in graph}
-    assert index.text_for(before) == verbalize_triple(graph.lookup(before))
+    assert list(index.entries()) == [(t.id, verbalize_triple(t)) for t in graph]
 
 
 def test_update_noop_on_empty_event(tmp_path):

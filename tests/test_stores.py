@@ -24,6 +24,7 @@ from subhop.vector import VectorIndex
 from helpers import (
     TWO_HOP_QID,
     TWO_HOP_QUESTION,
+    append_row,
     build_benchmark_fixture,
     build_benchmark_world,
     build_two_hop_world,
@@ -61,8 +62,8 @@ def test_readers_get_exact_scores_while_a_writer_grows_the_index():
         return f"fact {i} about w{i % 13} and w{i % 7} near v{i % 5}"
 
     for i in range(5):
-        texts[3 * i] = text_of(i)
-        index.upsert(3 * i, texts[3 * i], embedder)
+        texts[i] = text_of(i)
+        append_row(index, texts[i], embedder)
     queries = ["about w3 and w4", "near v2", "fact 17 w1", "w12 w6 v0"]
     done = threading.Event()
     failures: list[str] = []
@@ -71,10 +72,9 @@ def test_readers_get_exact_scores_while_a_writer_grows_the_index():
     def writer() -> None:
         try:
             for i in range(5, 3000):  # crosses every capacity from 16 to 2048 rows
-                key = 3 * i
-                texts[key] = text_of(i)
+                texts[i] = text_of(i)
                 with stores.lock.write():
-                    index.upsert(key, texts[key], embedder)
+                    append_row(index, texts[i], embedder)
         finally:
             done.set()
 

@@ -14,15 +14,17 @@ from subhop.solver import QuestionTrace, SubAnswer, trace_to_json
 from subhop.stores import Stores, load_stores, save_stores
 from subhop.vector import VectorIndex, verbalize_triple
 
-from helpers import TWO_HOP_CORPUS, index_rows, oracle_cosine_top_k, write_corpus
+from helpers import TWO_HOP_CORPUS, append_row, index_rows, oracle_cosine_top_k, write_corpus
 
 
 def make_index(vectors: dict[int, list[float]]) -> tuple[VectorIndex, FixtureEmbedder]:
+    """An index whose row ``key`` embeds ``vectors[key]``; keys run 0..n-1."""
+    assert list(vectors) == list(range(len(vectors)))
     texts = {f"t{key}": vec for key, vec in vectors.items()}
     embedder = FixtureEmbedder(texts)
     index = VectorIndex(dimension=embedder.dimension)
     for key in vectors:
-        index.upsert(key, f"t{key}", embedder)
+        append_row(index, f"t{key}", embedder)
     return index, embedder
 
 
@@ -60,21 +62,27 @@ def test_upsert_then_top_k_returns_key():
     assert index.top_k("t0", 1, embedder) == [(0, pytest.approx(1.0))]
 
 
-def test_upsert_replaces_same_key():
-    embedder = FixtureEmbedder({"a": [1.0, 0.0], "b": [0.0, 1.0]})
-    index = VectorIndex(dimension=2)
-    index.upsert(7, "a", embedder)
-    index.upsert(7, "b", embedder)
-    assert len(index) == 1
-    assert index.text_for(7) == "b"
-    assert index.top_k("b", 1, embedder)[0] == (7, pytest.approx(1.0))
+@pytest.mark.parametrize("key", [0, 2, 5, -1])
+def test_upsert_only_appends_the_next_row(key):
+    index, embedder = make_index({0: [1.0, 0.0]})
+    embedder.add("b", [0.0, 1.0])
+    before = index_rows(index)
+    with pytest.raises(ValueError, match="next row is 1"):
+        index.upsert(key, "b", index.embed("b", embedder))
+    assert index_rows(index) == before
+    index.upsert(1, "b", index.embed("b", embedder))
+    assert list(index.entries()) == [(0, "t0"), (1, "b")]
+    assert index.top_k("b", 1, embedder) == [(1, pytest.approx(1.0))]
 
 
 def test_upsert_dimension_mismatch():
     index, _ = make_index({0: [1.0, 0.0]})
     other = FixtureEmbedder({"x": [1.0, 2.0, 3.0]})
     with pytest.raises(DimensionMismatch):
-        index.upsert(1, "x", other)
+        index.embed("x", other)
+    with pytest.raises(DimensionMismatch):
+        index.extend(["x"], other)
+    assert len(index) == 1
 
 
 def test_top_k_orthogonal_case():
@@ -184,8 +192,8 @@ def test_top_k_scans_through_module_level_cosine_scores(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(vector, "cosine_scores", counting)
-    index, embedder = make_index({1: [1.0, 0.0], 2: [0.0, 1.0], 3: [1.0, 1.0]})
-    assert [key for key, _ in index.top_k("t1", 2, embedder)] == [1, 3]
+    index, embedder = make_index({0: [1.0, 0.0], 1: [0.0, 1.0], 2: [1.0, 1.0]})
+    assert [key for key, _ in index.top_k("t0", 2, embedder)] == [0, 2]
     assert calls == [(3, 2)]
 
 
@@ -206,15 +214,13 @@ def tie_heavy_vectors(rng, count: int, dim: int = 4) -> dict[int, np.ndarray]:
     # values in {-1, 0, 1}, as the hashed embedder produces for short
     # texts: many rows share a score, and integer dot products are exact,
     # so index and oracle scores agree bit for bit
-    keys = rng.choice(10 * count, size=count, replace=False)
-    return {int(key): rng.integers(-1, 2, size=dim).astype(np.float64) for key in keys}
+    return {key: rng.integers(-1, 2, size=dim).astype(np.float64) for key in range(count)}
 
 
-def fill(index: VectorIndex, embedder: FixtureEmbedder, vectors, texts=None) -> None:
+def fill(index: VectorIndex, embedder: FixtureEmbedder, vectors) -> None:
     for key, values in vectors.items():
-        text = f"t{key}" if texts is None else texts[key]
-        embedder.add(text, values.tolist())
-        index.upsert(key, text, embedder)
+        embedder.add(f"t{key}", values.tolist())
+        assert append_row(index, f"t{key}", embedder) == key
 
 
 def test_top_k_selection_matches_full_lexsort_on_ties():
@@ -223,7 +229,6 @@ def test_top_k_selection_matches_full_lexsort_on_ties():
     embedder = FixtureEmbedder({}, default=[0.0] * 4)
     index = VectorIndex(dimension=4)
     fill(index, embedder, vectors)
-    assert list(dict(index.entries())) != sorted(vectors)  # keys not monotonic
     for trial in range(40):
         query = rng.integers(-1, 2, size=4).astype(np.float64)
         embedder.add(f"q{trial}", query.tolist())
@@ -244,7 +249,7 @@ def test_top_k_zero_norm_query_returns_ascending_keys():
         assert lexsort_oracle(vectors, np.zeros(4), k) == want
 
 
-def test_top_k_exact_across_growth_and_re_upserts():
+def test_top_k_exact_across_growth():
     rng = np.random.default_rng(9)
     embedder = FixtureEmbedder({}, default=[0.0] * 6)
     index = VectorIndex(dimension=6)
@@ -253,11 +258,6 @@ def test_top_k_exact_across_growth_and_re_upserts():
     for step, (key, values) in enumerate(incoming.items()):
         fill(index, embedder, {key: values})
         live[key] = values
-        if step % 9 == 0:
-            # re-upsert an existing key with a new vector, in place
-            old = int(rng.choice(list(live)))
-            live[old] = rng.integers(-1, 2, size=6).astype(np.float64)
-            fill(index, embedder, {old: live[old]}, texts={old: f"t{old}v{step}"})
         if step % 23 == 0 or step == len(incoming) - 1:
             query = rng.integers(-1, 2, size=6).astype(np.float64)
             embedder.add(f"q{step}", query.tolist())
@@ -278,9 +278,9 @@ def test_first_write_back_after_load_does_not_copy_the_rows(tmp_path):
     loaded = load_stores(tmp_path / "snap", embedder).triple_index
     matrix = loaded._matrix
     for key in range(64, 72):
-        loaded.upsert(key, f"text {key}", embedder)
+        assert append_row(loaded, f"text {key}", embedder) == key
     assert loaded._matrix is matrix
-    assert len(loaded) == 72 and loaded.text_for(70) == "text 70"
+    assert len(loaded) == 72 and list(loaded.entries())[70] == (70, "text 70")
 
 
 # -- sparse-column scan and selection from the top ---------------------------
@@ -349,12 +349,12 @@ def test_selection_matches_lexsort_when_most_scores_are_zero():
     rng = np.random.default_rng(23)
     dim = 32
     vectors = {}
-    for key in rng.choice(20000, size=2000, replace=False):
+    for key in range(2000):
         values = np.zeros(dim)
         values[rng.choice(np.arange(4, dim), size=3, replace=False)] = rng.integers(1, 3, 3)
         if rng.random() < 0.06:  # a few rows share a query column
             values[rng.integers(0, 4)] = rng.choice([-1.0, 1.0])
-        vectors[int(key)] = values
+        vectors[key] = values
     embedder = FixtureEmbedder({}, default=[0.0] * dim)
     index = VectorIndex(dimension=dim)
     fill(index, embedder, vectors)
@@ -391,24 +391,18 @@ def test_scan_reads_only_the_query_columns():
 
 def test_matrix_stays_column_major_and_bulk_fill_equals_upserts(tmp_path):
     embedder = HashedBagEmbedder(dimension=16)
-    items = [(3 * key + 1, f"entity {key} related to entity {key % 7}") for key in range(1100)]
+    texts = [f"entity {key} related to entity {key % 7}" for key in range(1100)]
     filled = VectorIndex(dimension=16)
     assert filled._matrix.flags.f_contiguous
-    filled.extend(items[:5], embedder)  # grows from empty
-    filled.extend(iter(items[5:]), embedder)  # crosses blocks and grows again
+    filled.extend(texts[:5], embedder)  # grows from empty
+    filled.extend(iter(texts[5:]), embedder)  # crosses blocks and grows again
     assert filled._matrix.flags.f_contiguous
     upserted = VectorIndex(dimension=16)
-    for key, text in items:
-        upserted.upsert(key, text, embedder)
+    for text in texts:
+        append_row(upserted, text, embedder)
         assert upserted._matrix.flags.f_contiguous
     assert index_rows(filled) == index_rows(upserted)
-    for key, text in items[:3]:
-        assert filled.text_for(key) == text
-    with pytest.raises(ValueError):
-        filled.extend([(1, "again")], embedder)
-    with pytest.raises(ValueError):
-        filled.extend([(9000, "a"), (9000, "b")], embedder)
-    assert index_rows(filled) == index_rows(upserted)
+    assert list(filled.entries()) == list(enumerate(texts))
 
     corpus_path = write_corpus(tmp_path / "corpus.jsonl", TWO_HOP_CORPUS)
     corpus = ingest_corpus(corpus_path)
