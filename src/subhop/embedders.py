@@ -10,7 +10,9 @@ protocol.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
@@ -21,18 +23,38 @@ from .errors import ConfigError
 
 _TOKEN_RE = re.compile(r"\w+")
 
+# distinct tokens whose bucket and sign stay memoized (a few MB at most):
+# a corpus's frequent words fit, and rare ones are hashed again on reuse
+_TOKEN_MEMO_SIZE = 1 << 14
+
 
 @dataclass(frozen=True)
 class Embedding:
-    """A vector with its Euclidean norm cached at construction."""
+    """A vector in sparse form: its nonzero ``columns`` in ascending order,
+    their ``weights``, and its Euclidean norm, computed once.
 
-    values: np.ndarray
+    Every embedder returns this form; a dense vector lists each of its
+    nonzero columns.
+    """
+
+    columns: tuple[int, ...]
+    weights: tuple[float, ...]
     norm: float
+    dimension: int
 
     @classmethod
     def of(cls, values: Sequence[float] | np.ndarray) -> "Embedding":
         arr = np.asarray(values, dtype=np.float64)
-        return cls(arr, float(np.linalg.norm(arr)))
+        columns = np.flatnonzero(arr)
+        return cls(tuple(columns.tolist()), tuple(arr[columns].tolist()),
+                   float(np.linalg.norm(arr)), len(arr))
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense vector."""
+        out = np.zeros(self.dimension, dtype=np.float64)
+        out[list(self.columns)] = self.weights
+        return out
 
 
 class Embedder(Protocol):
@@ -49,7 +71,8 @@ class HashedBagEmbedder:
 
     Each token contributes +/-1 to one bucket; the bucket and sign are
     derived from the token digest, so identical text maps to an identical
-    vector in every process.
+    vector in every process. Recent tokens' buckets and signs are
+    memoized, so a recurring token is hashed once.
     """
 
     def __init__(self, dimension: int = 256):
@@ -59,13 +82,22 @@ class HashedBagEmbedder:
         self.dimension = dimension
 
     def embed(self, text: str) -> Embedding:
-        vec = np.zeros(self.dimension, dtype=np.float64)
+        counts: dict[int, int] = {}
         for token in _TOKEN_RE.findall(text.casefold()):
-            digest = hashlib.sha256(token.encode("utf-8")).digest()
-            bucket = int.from_bytes(digest[:4], "little") % self.dimension
-            sign = 1.0 if digest[4] & 1 else -1.0
-            vec[bucket] += sign
-        return Embedding.of(vec)
+            bucket, sign = _bucket_and_sign(token, self.dimension)
+            counts[bucket] = counts.get(bucket, 0) + sign
+        columns = sorted(bucket for bucket, count in counts.items() if count)
+        # an integer sum of squares is exact, so this is the dense
+        # vector's ``np.linalg.norm`` bit for bit
+        norm = math.sqrt(sum(count * count for count in counts.values()))
+        return Embedding(tuple(columns), tuple(float(counts[c]) for c in columns),
+                         norm, self.dimension)
+
+
+@functools.lru_cache(maxsize=_TOKEN_MEMO_SIZE)
+def _bucket_and_sign(token: str, dimension: int) -> tuple[int, int]:
+    digest = hashlib.sha256(token.encode("utf-8")).digest()
+    return int.from_bytes(digest[:4], "little") % dimension, 1 if digest[4] & 1 else -1
 
 
 class FixtureEmbedder:

@@ -77,17 +77,21 @@ class Budget:
 
 @dataclass
 class _WireLog:
+    """Every prompt and response: appended to the file at ``path`` if one
+    is set, else kept in ``entries``."""
+
     path: Path | None = None
     entries: list[dict] = field(default_factory=list)
     lock: threading.Lock = field(default_factory=threading.Lock)
 
     def append(self, entry: dict) -> None:
         with self.lock:
-            self.entries.append(entry)
-            if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(entry, ensure_ascii=False))
-                    fh.write("\n")
+            if self.path is None:
+                self.entries.append(entry)
+                return
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(entry, ensure_ascii=False))
+                fh.write("\n")
 
 
 class Gateway:

@@ -185,11 +185,8 @@ def embed_indexes(
     so building an index and loading a snapshot both call this.
     """
     triple_index = VectorIndex(dimension=embedder.dimension)
-    # an eighth spare for write-backs, so the first ones do not copy every row
-    triple_index.reserve(len(graph) + len(graph) // 8)
     triple_index.extend(map(verbalize_triple, graph), embedder)
     passage_index = VectorIndex(dimension=embedder.dimension)
-    passage_index.reserve(len(corpus))
     passage_index.extend(map(passage_text, corpus.documents), embedder)
     return triple_index, passage_index
 

@@ -1,14 +1,15 @@
 """Exact cosine top-k index over verbalized triples and corpus passages.
 
-A deliberate exact scan: every row is scored, but only in the columns
-where the query is nonzero, which is all a dot product needs and, for a
-hashed bag-of-words query, a few of the 256. Ties break by ascending key;
+Rows are stored as per-column postings, an inverted file: for each
+column, the rows that are nonzero there and their weights. A query reads
+only the postings of its own nonzero columns, which for a hashed
+bag-of-words query are a few of the 256, and so scores exactly the rows
+it touches; every other row scores 0. Ties break by ascending key;
 zero-norm vectors score 0.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -17,33 +18,24 @@ from .embedders import Embedder, Embedding
 from .errors import DimensionMismatch
 from .kg import Triple
 
-# rows ``extend`` embeds before copying them into the matrix at once
-FILL_BLOCK_ROWS = 512
-
 
 def cosine_scores(
-    matrix: np.ndarray, norms: np.ndarray, query: np.ndarray, query_norm: float
-) -> np.ndarray:
-    """Cosine of the query against every row; zero-norm rows or a zero-norm
-    query score 0 instead of NaN.
+    postings: np.ndarray, norms: np.ndarray, query_norm: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows with a nonzero dot product against the query, ascending,
+    and their cosine scores; every other row scores 0.
 
-    Only the matrix columns where the query is nonzero are read: on a
-    column-major matrix each is one contiguous run. Leaving out the zero
-    terms changes a dot product at most by the order of its sum, and not
-    at all on integer vectors such as the ``hash`` embedder's. A query with
-    no zero entry multiplies the whole matrix, without a gathered copy.
+    ``postings`` is the query's gathered postings, shape ``(2, m)``: row
+    numbers and ``weight * query weight`` products, summed per row into
+    the dot product. Rows at or beyond ``len(norms)`` are left out. On
+    integer vectors such as the ``hash`` embedder's every sum is exact, so
+    the order of the terms does not matter.
     """
-    n = matrix.shape[0]
-    out = np.zeros(n, dtype=np.float64)
-    if n == 0 or query_norm == 0.0:
-        return out
-    columns = np.flatnonzero(query)
-    if len(columns) == len(query):
-        dots = matrix @ query
-    else:
-        dots = matrix[:, columns] @ query[columns]
-    denom = norms * query_norm
-    return np.divide(dots, denom, out=out, where=denom > 0.0)
+    n = len(norms)
+    dots = np.bincount(postings[0].astype(np.intp), postings[1], minlength=n)[:n]
+    # a boolean mask is several times faster to search than the floats
+    rows = np.flatnonzero(dots != 0.0)
+    return rows, dots[rows] / (norms[rows] * query_norm)
 
 
 def verbalize(head: str, relation: str, tail: str) -> str:
@@ -55,42 +47,55 @@ def verbalize_triple(t: Triple) -> str:
     return verbalize(t.head, t.relation, t.tail)
 
 
+def _with_room(array: np.ndarray, used: int, needed: int) -> np.ndarray:
+    """``array`` if its last axis holds ``needed`` entries, else a copy of
+    its first ``used`` entries with room for at least ``needed`` and at
+    least twice the old capacity."""
+    capacity = array.shape[-1]
+    if needed <= capacity:
+        return array
+    grown = np.empty(array.shape[:-1] + (max(16, needed, 2 * capacity),))
+    grown[..., :used] = array[..., :used]
+    return grown
+
+
 class VectorIndex:
     """Append-only map from row numbers to (text, embedding). A row's key
     is its position: the triple id in the triple index, the corpus
     position in the passage index.
 
-    Rows live in preallocated arrays (a float64 matrix and its row norms)
-    that double in capacity when full, so an append never invalidates
-    anything. The row and its norm are written before the row count moves,
-    so a reader that takes the count once and slices ``[:n]`` sees only
-    complete rows. Growing swaps in larger copies.
-
-    The matrix is column-major, so the scan reads each column it needs as
-    one contiguous run; ``extend`` fills many rows a block at a time.
+    Each of the ``dimension`` columns has a posting: a float64 array of
+    shape ``(2, capacity)`` holding, in its first ``fill`` places, the
+    ascending numbers of the rows that are nonzero in that column and
+    their weights. Row norms sit in one more array. An array that is full
+    is replaced by a copy of twice the capacity, so appending never
+    invalidates anything. Writers fill an entry before its posting's fill
+    count moves, and write every posting and the norm of a row before the
+    row count moves; a reader takes the row count first and each fill
+    count before its posting, and ignores rows at or beyond its count.
     """
 
-    def __init__(self, dimension: int | None = None):
+    def __init__(self, dimension: int):
         self._dimension = dimension
         self._n = 0
-        self._matrix = np.empty((0, dimension or 0), dtype=np.float64, order="F")
-        self._norms = np.empty(0, dtype=np.float64)
+        empty = np.empty((2, 0))
+        self._postings = [empty] * dimension
+        self._fill = [0] * dimension
+        self._norms = np.empty(0)
         self._texts: list[str] = []
 
     def __len__(self) -> int:
         return self._n
 
     @property
-    def dimension(self) -> int | None:
+    def dimension(self) -> int:
         return self._dimension
 
     def entries(self) -> Iterator[tuple[int, str]]:
         return enumerate(self._texts[: self._n])
 
     def _check_embedder(self, embedder: Embedder) -> None:
-        if self._dimension is None:
-            self._dimension = embedder.dimension
-        elif embedder.dimension != self._dimension:
+        if embedder.dimension != self._dimension:
             raise DimensionMismatch(
                 f"embedder dimension {embedder.dimension} != index dimension {self._dimension}"
             )
@@ -100,9 +105,9 @@ class VectorIndex:
         DimensionMismatch, before anything is written, if it does not fit."""
         self._check_embedder(embedder)
         emb = embedder.embed(text)
-        if emb.values.shape != (self._dimension,):
+        if emb.dimension != self._dimension:
             raise DimensionMismatch(
-                f"vector of shape {emb.values.shape} does not fit dimension {self._dimension}"
+                f"vector of dimension {emb.dimension} does not fit dimension {self._dimension}"
             )
         return emb
 
@@ -110,57 +115,70 @@ class VectorIndex:
         """Append ``text`` as row ``key``, which must be the next row,
         ``len(self)``; any other key raises ValueError, so the index cannot
         drift apart from the list it mirrors. ``embedding`` must be
-        ``embed(text, embedder)``; it is not checked again."""
-        pos = self._n
-        if key != pos:
-            raise ValueError(f"upsert of key {key}, the next row is {pos}")
-        if pos == len(self._norms):
-            self._grow(max(16, 2 * pos))
-        self._matrix[pos] = embedding.values
-        self._norms[pos] = embedding.norm
-        self._texts.append(text)
-        self._n = pos + 1
+        ``embed(text, embedder)``; a column outside the dimension raises
+        DimensionMismatch before anything is written."""
+        if key != self._n:
+            raise ValueError(f"upsert of key {key}, the next row is {self._n}")
+        self._append([text], list(embedding.columns), list(embedding.weights),
+                     [len(embedding.columns)], [embedding.norm])
 
     def extend(self, texts: Iterable[str], embedder: Embedder) -> None:
-        """Append one row per text, each the row ``upsert`` would write.
-
-        Each embedding is copied into a small row-major block as soon as
-        it is made, so its memory is reused while still in cache, and the
-        block is copied into the matrix in one assignment: stored one at a
-        time, each row of a column-major matrix is ``dimension`` scattered
-        writes.
-        """
+        """Append one row per text, each the row ``upsert`` would write."""
         self._check_embedder(embedder)
-        block = np.empty((FILL_BLOCK_ROWS, self._dimension), dtype=np.float64)
-        texts = iter(texts)
-        while batch := list(islice(texts, FILL_BLOCK_ROWS)):
-            start, end = self._n, self._n + len(batch)
-            norms = []
-            for row, text in enumerate(batch):
-                emb = self.embed(text, embedder)
-                block[row] = emb.values
-                norms.append(emb.norm)
-            if end > len(self._norms):
-                self._grow(max(16, 2 * start, end))
-            self._matrix[start:end] = block[: len(batch)]
-            self._norms[start:end] = norms
-            self._texts.extend(batch)
-            self._n = end
+        texts = list(texts)
+        columns: list[int] = []
+        weights: list[float] = []
+        counts, norms = [], []
+        for text in texts:
+            emb = self.embed(text, embedder)
+            columns += emb.columns
+            weights += emb.weights
+            counts.append(len(emb.columns))
+            norms.append(emb.norm)
+        self._append(texts, columns, weights, counts, norms)
 
-    def reserve(self, capacity: int) -> None:
-        """Make room for ``capacity`` rows, so inserting that many never
-        copies the arrays."""
-        if capacity > len(self._norms):
-            self._grow(capacity)
+    def _append(self, texts: list[str], columns: list[int], weights: list[float],
+                counts: list[int], norms: list[float]) -> None:
+        """Append rows given as (column, weight) entries, ``counts[i]`` of
+        them for the i-th row, in one pass: a stable sort by column keeps
+        each column's rows ascending, and each posting grows once."""
+        start, end = self._n, self._n + len(texts)
+        columns = np.array(columns, dtype=np.intp)
+        per_column = np.bincount(columns, minlength=self._dimension)
+        if len(per_column) > self._dimension:
+            raise DimensionMismatch(
+                f"column {len(per_column) - 1} is outside dimension {self._dimension}"
+            )
+        order = np.argsort(columns, kind="stable")
+        entries = np.empty((2, len(columns)))
+        entries[0] = np.repeat(np.arange(start, end, dtype=np.float64), counts)[order]
+        entries[1] = np.array(weights, dtype=np.float64)[order]
+        bounds = np.concatenate(([0], np.cumsum(per_column))).tolist()
+        for column in np.flatnonzero(per_column).tolist():
+            self._add_to_posting(column, entries[:, bounds[column]:bounds[column + 1]])
+        self._norms = _with_room(self._norms, start, end)
+        self._norms[start:end] = norms
+        self._texts += texts
+        self._n = end
 
-    def _grow(self, capacity: int) -> None:
-        """Copy the filled rows into arrays of ``capacity`` rows."""
-        n = self._n
-        matrix = np.empty((capacity, self._dimension), dtype=np.float64, order="F")
-        norms = np.empty(capacity, dtype=np.float64)
-        matrix[:n] = self._matrix[:n]
-        norms[:n] = self._norms[:n]
-        self._matrix, self._norms = matrix, norms
+    def _add_to_posting(self, column: int, new: np.ndarray) -> None:
+        fill = self._fill[column]
+        end = fill + new.shape[1]
+        posting = self._postings[column] = _with_room(self._postings[column], fill, end)
+        posting[:, fill:end] = new
+        self._fill[column] = end
+
+    def _gather(self, query: Embedding) -> np.ndarray:
+        """The postings of the query's columns side by side, each weight
+        multiplied by the query's weight in that column: shape (2, m)."""
+        # a fill count is read before its posting: every array the posting
+        # has been since then holds that many entries
+        fills = [self._fill[column] for column in query.columns]
+        parts = [self._postings[column][:, :fill]
+                 for column, fill in zip(query.columns, fills)]
+        gathered = np.concatenate(parts, axis=1) if parts else np.empty((2, 0))
+        gathered[1] *= np.repeat(query.weights, fills)
+        return gathered
 
     def top_k(self, query_text: str, k: int, embedder: Embedder) -> list[tuple[int, float]]:
         """Exact top-k by cosine score, descending, ties by ascending key.
@@ -175,17 +193,27 @@ class VectorIndex:
             return []
         self._check_embedder(embedder)
         query = embedder.embed(query_text)
-        scores = cosine_scores(self._matrix[:n], self._norms[:n], query.values, query.norm)
+        rows, scores = cosine_scores(self._gather(query), self._norms[:n], query.norm)
         k = min(k, n)
-        if k < n:
+        if np.count_nonzero(scores > 0.0) < k:
+            # the rows scoring 0 rank next: every row outside ``rows``.
+            # Only the first k of them by key can rank, and those lie below
+            # k + len(rows)
+            free = np.ones(min(n, k + len(rows)), dtype=bool)
+            free[rows[rows < len(free)]] = False
+            zeros = np.flatnonzero(free)[:k]
+            rows = np.concatenate((rows, zeros))
+            scores = np.concatenate((scores, np.zeros(len(zeros))))
+            by_key = np.argsort(rows)
+            rows, scores = rows[by_key], scores[by_key]
+        if len(rows) > k:
             # every row ranked above the k-th score, and every row tied
             # with it, is a candidate; sorting only those gives the same
-            # prefix as sorting all n rows. Selecting from the top is the
-            # same value, and much faster when most rows tie at 0.
+            # prefix as sorting all of them. With k positive scores this
+            # leaves out every row at or below 0
             kth = -np.partition(-scores, k - 1)[k - 1]
-            candidates = np.flatnonzero(scores >= kth)
-        else:
-            candidates = np.arange(n)
-        # candidates ascend, so a stable sort keeps tied rows by ascending key
-        order = np.argsort(-scores[candidates], kind="stable")[:k]
-        return [(int(i), float(scores[i])) for i in candidates[order]]
+            keep = scores >= kth
+            rows, scores = rows[keep], scores[keep]
+        # rows ascend, so a stable sort keeps tied rows by ascending key
+        order = np.argsort(-scores, kind="stable")[:k]
+        return list(zip(rows[order].tolist(), scores[order].tolist()))

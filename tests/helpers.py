@@ -55,11 +55,12 @@ def append_row(index: VectorIndex, text: str, embedder: Embedder) -> int:
     return key
 
 
-def index_rows(index: VectorIndex) -> tuple[list[tuple[int, str]], bytes, bytes]:
-    """Keys, texts, matrix rows and norms of an index, for a bit-for-bit
-    comparison."""
-    n = len(index)
-    return list(index.entries()), index._matrix[:n].tobytes(), index._norms[:n].tobytes()
+def index_rows(index: VectorIndex) -> tuple[list[tuple[int, str]], list[bytes], bytes]:
+    """Keys, texts, the filled part of every column's posting and the row
+    norms of an index, for a bit-for-bit comparison."""
+    postings = [index._postings[column][:, : index._fill[column]].tobytes()
+                for column in range(index.dimension)]
+    return list(index.entries()), postings, index._norms[: len(index)].tobytes()
 
 
 _WS_RE = re.compile(r"\s+")

@@ -342,3 +342,17 @@ def test_wire_log_never_contains_api_key(tmp_path):
     content = log_path.read_text(encoding="utf-8")
     assert "sk-test" not in content
     assert json.loads(content.splitlines()[0])["template"] == "final_answer"
+
+
+def test_wire_log_with_a_path_keeps_no_entries_in_memory(tmp_path):
+    log_path = tmp_path / "wire.jsonl"
+    gw = Gateway(REGISTRY, StubBackend([rule("final_answer", "x", repeat=True)]),
+                 wire_log_path=log_path)
+    view = gw.with_budget(10)
+    for i in range(5):
+        (view if i % 2 else gw).complete(
+            ChatRequest("final_answer", {"question": f"q{i}", "memory": "m"}))
+    assert gw.wire_log == [] and view.wire_log == []
+    lines = log_path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["response"] for line in lines] == ["x"] * 5
+    assert ["q3" in json.loads(line)["prompt"] for line in lines] == [False] * 3 + [True, False]

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -82,7 +84,10 @@ def test_upsert_dimension_mismatch():
         index.embed("x", other)
     with pytest.raises(DimensionMismatch):
         index.extend(["x"], other)
-    assert len(index) == 1
+    before = index_rows(index)
+    with pytest.raises(DimensionMismatch):  # a column outside the dimension
+        index.upsert(1, "y", Embedding((0, 2), (1.0, 1.0), math.sqrt(2.0), 2))
+    assert len(index) == 1 and index_rows(index) == before
 
 
 def test_top_k_orthogonal_case():
@@ -194,18 +199,25 @@ def test_top_k_scans_through_module_level_cosine_scores(monkeypatch):
     monkeypatch.setattr(vector, "cosine_scores", counting)
     index, embedder = make_index({0: [1.0, 0.0], 1: [0.0, 1.0], 2: [1.0, 1.0]})
     assert [key for key, _ in index.top_k("t0", 2, embedder)] == [0, 2]
-    assert calls == [(3, 2)]
+    assert calls == [(2, 2)]  # rows 0 and 2 of column 0's posting: (row, product) pairs
 
 
 # -- partial selection against a full lexsort --------------------------------
 
 
+def full_scores(vectors: dict[int, np.ndarray], query: np.ndarray) -> np.ndarray:
+    """Cosine of the query against every row by a dense row-major product;
+    rows or a query of norm 0 score 0."""
+    matrix = np.array([vectors[key] for key in sorted(vectors)], dtype=np.float64)
+    denom = np.linalg.norm(matrix, axis=1) * float(np.linalg.norm(query))
+    out = np.zeros(len(vectors))
+    return np.divide(matrix @ query, denom, out=out, where=denom > 0.0)
+
+
 def lexsort_oracle(vectors: dict[int, np.ndarray], query: np.ndarray, k: int):
     """Score every row and sort all of them: descending score, then key."""
-    keys = np.fromiter(vectors, dtype=np.int64)
-    matrix = np.array([vectors[int(key)] for key in keys], dtype=np.float64)
-    norms = np.linalg.norm(matrix, axis=1)
-    scores = vector.cosine_scores(matrix, norms, query, float(np.linalg.norm(query)))
+    keys = np.array(sorted(vectors), dtype=np.int64)
+    scores = full_scores(vectors, query)
     order = np.lexsort((keys, -scores))[:k]
     return [(int(keys[i]), float(scores[i])) for i in order]
 
@@ -267,7 +279,7 @@ def test_top_k_exact_across_growth():
 
 
 def test_first_write_back_after_load_does_not_copy_the_rows(tmp_path):
-    embedder = HashedBagEmbedder(dimension=16)
+    embedder = HashedBagEmbedder(dimension=64)
     corpus_path = write_corpus(tmp_path / "corpus.jsonl", TWO_HOP_CORPUS)
     corpus = ingest_corpus(corpus_path)
     graph = KnowledgeGraph()
@@ -276,20 +288,28 @@ def test_first_write_back_after_load_does_not_copy_the_rows(tmp_path):
     stores = Stores(graph, *embed_indexes(graph, corpus, embedder), corpus)
     save_stores(stores, tmp_path / "snap", embedder, corpus_path)
     loaded = load_stores(tmp_path / "snap", embedder).triple_index
-    matrix = loaded._matrix
+    postings = list(loaded._postings)
+    touched: set[int] = set()
     for key in range(64, 72):
         assert append_row(loaded, f"text {key}", embedder) == key
-    assert loaded._matrix is matrix
+        touched.update(embedder.embed(f"text {key}").columns)
+    copied = {c for c in range(64) if loaded._postings[c] is not postings[c]}
+    # a write-back reaches only the postings of its own columns
+    assert copied <= touched and len(touched) < 16
     assert len(loaded) == 72 and list(loaded.entries())[70] == (70, "text 70")
+    expected = VectorIndex(dimension=64)
+    expected.extend([text for _, text in loaded.entries()], embedder)
+    assert index_rows(loaded) == index_rows(expected)
 
 
-# -- sparse-column scan and selection from the top ---------------------------
+# -- the postings scan and selection from the top -----------------------------
 
 
 def test_scan_matches_oracle_on_sparse_and_dense_queries():
     rng = np.random.default_rng(21)
     vectors = {key: rng.normal(size=16).tolist() for key in range(300)}
     index, embedder = make_index(vectors)
+    assert index._fill == [300] * 16  # dense rows: every row in every posting
     sparse = np.zeros(16)
     sparse[[1, 6, 7, 12]] = rng.normal(size=4)
     dense = rng.normal(size=16)
@@ -309,18 +329,16 @@ def test_scan_is_bit_equal_to_a_full_row_major_product_on_integer_vectors():
     embedder = FixtureEmbedder({}, default=[0.0] * 32)
     index = VectorIndex(dimension=32)
     fill(index, embedder, vectors)
-    n = len(index)
-    matrix, norms = index._matrix[:n], index._norms[:n]
-    row_major = np.ascontiguousarray(matrix)
     sparse = np.zeros(32)
     sparse[[0, 9, 30]] = [2.0, -1.0, 1.0]
     dense = rng.choice([-2.0, -1.0, 1.0, 3.0], size=32)
-    for query in (sparse, dense):
-        query_norm = float(np.linalg.norm(query))
-        denom = norms * query_norm
-        want = np.zeros(n)
-        want[denom > 0.0] = (row_major @ query)[denom > 0.0] / denom[denom > 0.0]
-        got = vector.cosine_scores(matrix, norms, query, query_norm)
+    for name, query in (("sparse", sparse), ("dense", dense)):
+        embedder.add(name, query.tolist())
+        got = np.zeros(len(vectors))
+        for key, score in index.top_k(name, len(vectors), embedder):
+            got[key] = score
+        # ``+ 0.0`` turns the product's -0.0 into the +0.0 every zero score is
+        want = full_scores(vectors, query) + 0.0
         assert got.tobytes() == want.tobytes()
 
 
@@ -332,13 +350,12 @@ def test_rows_zero_in_a_negative_query_score_positive_zero():
             2: [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}
     index, embedder = make_index(rows)
     embedder.add("q", query)
-    n = len(index)
-    scores = vector.cosine_scores(index._matrix[:n], index._norms[:n], np.array(query),
-                                  float(np.linalg.norm(query)))
-    assert scores[0] == scores[1] == 0.0
-    assert not np.signbit(scores[:2]).any()
+    emb = embedder.embed("q")
+    touched, _ = vector.cosine_scores(index._gather(emb), index._norms[: len(index)], emb.norm)
+    assert touched.tolist() == [2]
     hits = index.top_k("q", 3, embedder)
     assert hits[:2] == [(0, 0.0), (1, 0.0)] and hits[2][1] < 0.0
+    assert not np.signbit([score for _, score in hits[:2]]).any()
     sub = SubAnswer(0, "q", "q", hits, False, "", [])
     text = trace_to_json(QuestionTrace("z", "q", sub_answers=[sub]))
     assert "-0.0" not in text
@@ -361,13 +378,39 @@ def test_selection_matches_lexsort_when_most_scores_are_zero():
     query = np.zeros(dim)
     query[:4] = [1.0, -1.0, 2.0, 1.0]
     embedder.add("q", query.tolist())
-    n = len(index)
-    scores = vector.cosine_scores(index._matrix[:n], index._norms[:n], query,
-                                  float(np.linalg.norm(query)))
+    scores = full_scores(vectors, query)
     assert np.mean(scores == 0.0) > 0.9
     assert (scores < 0.0).any() and (scores > 0.0).any()
-    for k in (1, 5, n):
+    for k in (1, 5, 200, len(vectors)):
         assert index.top_k("q", k, embedder) == lexsort_oracle(vectors, query, k)
+
+
+def test_fewer_than_k_positive_rows_fill_with_zero_rows_then_negative_rows():
+    rng = np.random.default_rng(25)
+    dim = 8
+    vectors = {}
+    for key in range(60):
+        values = np.zeros(dim)
+        values[rng.integers(1, dim)] = 1.0  # zero in the query's column
+        if key % 9 == 4:
+            values[0] = rng.choice([-2.0, -1.0, 1.0])  # a few rows score != 0
+        vectors[key] = values
+    vectors[7] = np.zeros(dim)  # a zero-norm row scores 0 too
+    embedder = FixtureEmbedder({"q": [1.0] + [0.0] * (dim - 1)})
+    index = VectorIndex(dimension=dim)
+    fill(index, embedder, vectors)
+    query = np.eye(dim)[0]
+    scores = full_scores(vectors, query)
+    positive, negative = np.flatnonzero(scores > 0.0), np.flatnonzero(scores < 0.0)
+    assert 0 < len(positive) < 5 and len(negative) > 1
+    for k in (5, len(vectors) - len(negative) + 1, len(vectors)):
+        got = index.top_k("q", k, embedder)
+        assert got == lexsort_oracle(vectors, query, k), k
+        keys = [key for key, _ in got]
+        zeros = [key for key in range(len(vectors)) if scores[key] == 0.0]
+        assert keys[len(positive):len(positive) + len(zeros)] == zeros[: k - len(positive)]
+    assert [key for key, _ in got][-len(negative):] == sorted(
+        negative.tolist(), key=lambda key: (-scores[key], key))
 
 
 def test_scan_reads_only_the_query_columns():
@@ -378,31 +421,85 @@ def test_scan_reads_only_the_query_columns():
     query[[2, 5]] = [0.5, -1.5]
     embedder.add("q", query.tolist())
     before = index.top_k("q", 100, embedder)
-    index._matrix[:, np.flatnonzero(query == 0.0)] = np.nan
-    n = len(index)
-    scores = vector.cosine_scores(index._matrix[:n], index._norms[:n], query,
-                                  float(np.linalg.norm(query)))
-    assert np.isfinite(scores).all()
+    for column in np.flatnonzero(query == 0.0):
+        index._postings[column][1] = np.nan
+    emb = embedder.embed("q")
+    _, scores = vector.cosine_scores(index._gather(emb), index._norms[: len(index)], emb.norm)
+    assert len(scores) == 100 and np.isfinite(scores).all()
     assert index.top_k("q", 100, embedder) == before
 
 
-# -- column-major layout and the bulk fill -----------------------------------
+def test_top_k_ignores_a_row_still_being_written():
+    # a writer fills a row's postings before it moves the row count; a
+    # reader that took the count before then must not see the row
+    index, embedder = make_index({0: [1.0, 0.0], 1: [0.0, 1.0], 2: [1.0, 1.0]})
+    embedder.add("q", [1.0, 1.0])
+    before = index.top_k("q", 5, embedder)
+    index._add_to_posting(0, np.array([[3.0], [5.0]]))
+    index._add_to_posting(1, np.array([[3.0], [5.0]]))
+    assert len(index) == 3 and index.top_k("q", 5, embedder) == before
 
 
-def test_matrix_stays_column_major_and_bulk_fill_equals_upserts(tmp_path):
+def test_cancelling_hash_tokens_store_no_zero_weight():
+    embedder = HashedBagEmbedder(dimension=4)
+    tokens = [f"w{i}" for i in range(40)]
+    by_bucket: dict[tuple[int, float], str] = {}
+    for token in tokens:
+        emb = embedder.embed(token)
+        by_bucket.setdefault((emb.columns[0], emb.weights[0]), token)
+    bucket = next(b for b, w in by_bucket if (b, -w) in by_bucket)
+    text = f"{by_bucket[(bucket, 1.0)]} {by_bucket[(bucket, -1.0)]}"
+    emb = embedder.embed(text)
+    assert bucket not in emb.columns and emb.values[bucket] == 0.0
+    index = VectorIndex(dimension=4)
+    index.extend([text], embedder)
+    assert index._fill[bucket] == 0
+    append_row(index, text, embedder)
+    assert index._fill[bucket] == 0
+    assert all(0.0 not in index._postings[c][1, : index._fill[c]] for c in range(4))
+
+
+def test_hash_embedding_equals_the_dense_reference():
+    # the embedder before its sparse form and token memo: one sha256 per
+    # token occurrence into a dense vector
+    def reference(text: str, dimension: int) -> np.ndarray:
+        vec = np.zeros(dimension)
+        for token in re.findall(r"\w+", text.casefold()):
+            digest = hashlib.sha256(token.encode("utf-8")).digest()
+            bucket = int.from_bytes(digest[:4], "little") % dimension
+            vec[bucket] += 1.0 if digest[4] & 1 else -1.0
+        return vec
+
+    rng = random.Random(26)
+    words = ["Émile", "the", "THE", "of", "x1", "ß", "straße", "a_b", "42", "-", "  "]
+    for dimension in (3, 16, 256):
+        embedder = HashedBagEmbedder(dimension)
+        for _ in range(300):
+            text = " ".join(rng.choice(words) for _ in range(rng.randrange(12)))
+            want = reference(text, dimension)
+            emb = embedder.embed(text)
+            assert emb.values.tobytes() == want.tobytes()
+            assert list(emb.columns) == np.flatnonzero(want).tolist()
+            assert emb.norm.hex() == float(np.linalg.norm(want)).hex()
+
+
+# -- the bulk fill -----------------------------------------------------------
+
+
+def test_bulk_fill_equals_upserts(tmp_path):
     embedder = HashedBagEmbedder(dimension=16)
     texts = [f"entity {key} related to entity {key % 7}" for key in range(1100)]
     filled = VectorIndex(dimension=16)
-    assert filled._matrix.flags.f_contiguous
     filled.extend(texts[:5], embedder)  # grows from empty
-    filled.extend(iter(texts[5:]), embedder)  # crosses blocks and grows again
-    assert filled._matrix.flags.f_contiguous
+    filled.extend(iter(texts[5:]), embedder)  # appends to every posting again
     upserted = VectorIndex(dimension=16)
     for text in texts:
         append_row(upserted, text, embedder)
-        assert upserted._matrix.flags.f_contiguous
     assert index_rows(filled) == index_rows(upserted)
     assert list(filled.entries()) == list(enumerate(texts))
+    for column in range(16):
+        rows = filled._postings[column][0, : filled._fill[column]]
+        assert (np.diff(rows) > 0).all()
 
     corpus_path = write_corpus(tmp_path / "corpus.jsonl", TWO_HOP_CORPUS)
     corpus = ingest_corpus(corpus_path)
@@ -412,6 +509,4 @@ def test_matrix_stays_column_major_and_bulk_fill_equals_upserts(tmp_path):
     stores = Stores(graph, *embed_indexes(graph, corpus, embedder), corpus)
     save_stores(stores, tmp_path / "snap", embedder, corpus_path)
     loaded = load_stores(tmp_path / "snap", embedder)
-    for index in (loaded.triple_index, loaded.passage_index):
-        assert index._matrix.flags.f_contiguous
     assert index_rows(loaded.triple_index) == index_rows(stores.triple_index)
