@@ -12,15 +12,14 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import EmptyDataset, ParseError, UnsupportedFormat
 from .metrics import exact_match, token_f1
+from .records import read_json, read_json_lines
 from .solver import QuestionTrace, write_trace
 
 logger = logging.getLogger(__name__)
-
-DATASET_FORMATS = ("generic", "hotpotqa", "musique", "2wiki")
 
 # Published reference values for this pipeline configuration (1,000
 # questions per benchmark, gpt-4o-mini generator, all-MiniLM-L6-v2
@@ -80,8 +79,8 @@ class RunReport:
 
 def _require_str(record: dict, key: str, where: str) -> str:
     value = record.get(key)
-    if not isinstance(value, str) or not value:
-        raise ParseError(f"missing or invalid {key!r} in {where}")
+    if not isinstance(value, str) or not value.strip():
+        raise ParseError(f"missing, invalid or blank {key!r} in {where}")
     return value
 
 
@@ -107,35 +106,28 @@ def _gold_list(value: object, where: str) -> list[str]:
     return golds
 
 
-def _load_jsonl(path: str | Path) -> list[tuple[int, dict]]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
-            if not isinstance(record, dict):
-                raise ParseError("record is not an object", line=lineno)
-            records.append((lineno, record))
-    return records
+def _lines(path: str | Path) -> Iterator[tuple[str, dict]]:
+    for lineno, record in read_json_lines(path):
+        yield f"line {lineno}", record
 
 
-def _load_json_array(path: str | Path) -> list[dict]:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at offset {exc.pos}: {exc.msg}") from None
-    if not isinstance(data, list):
-        raise ParseError("expected a top-level JSON array")
-    for i, record in enumerate(data):
+def _entries(path: str | Path) -> Iterator[tuple[str, dict]]:
+    for i, record in enumerate(read_json(path, list)):
         if not isinstance(record, dict):
             raise ParseError(f"entry {i} is not an object")
-    return data
+        yield f"entry {i}", record
+
+
+# format -> (reader, id key, answers key, aliases key). hotpotqa and 2wiki
+# ship a JSON array of {"_id", "question", "answer"}; musique is line-JSON
+# with {"id", "question", "answer", "answer_aliases"}.
+_FORMATS = {
+    "generic": (_lines, "id", "answers", None),
+    "hotpotqa": (_entries, "_id", "answer", None),
+    "musique": (_lines, "id", "answer", "answer_aliases"),
+    "2wiki": (_entries, "_id", "answer", None),
+}
+DATASET_FORMATS = tuple(_FORMATS)
 
 
 def load_dataset(path: str | Path, format: str = "generic") -> list[QAExample]:
@@ -144,50 +136,20 @@ def load_dataset(path: str | Path, format: str = "generic") -> list[QAExample]:
     generic: line-JSON {"id", "question", "answers": [...]}. The three
     benchmark adapters map each native layout onto the same shape.
     """
+    if format not in _FORMATS:
+        raise UnsupportedFormat(f"unknown dataset format {format!r}")
+    read, id_key, answers_key, aliases_key = _FORMATS[format]
     seen: set[str] = set()
-    if format == "generic":
-        examples = []
-        for lineno, record in _load_jsonl(path):
-            where = f"line {lineno}"
-            examples.append(
-                QAExample(
-                    id=_require_id(record, "id", where, seen),
-                    question=_require_str(record, "question", where),
-                    gold_answers=_gold_list(record.get("answers"), where),
-                )
-            )
-        return examples
-    if format == "hotpotqa" or format == "2wiki":
-        # both ship a JSON array of {"_id", "question", "answer"}
-        examples = []
-        for i, record in enumerate(_load_json_array(path)):
-            where = f"entry {i}"
-            examples.append(
-                QAExample(
-                    id=_require_id(record, "_id", where, seen),
-                    question=_require_str(record, "question", where),
-                    gold_answers=_gold_list(record.get("answer"), where),
-                )
-            )
-        return examples
-    if format == "musique":
-        # line-JSON with {"id", "question", "answer", "answer_aliases"}
-        examples = []
-        for lineno, record in _load_jsonl(path):
-            where = f"line {lineno}"
-            golds = _gold_list(record.get("answer"), where)
-            aliases = record.get("answer_aliases", [])
-            if isinstance(aliases, list):
-                golds.extend(a for a in aliases if isinstance(a, str) and a)
-            examples.append(
-                QAExample(
-                    id=_require_id(record, "id", where, seen),
-                    question=_require_str(record, "question", where),
-                    gold_answers=golds,
-                )
-            )
-        return examples
-    raise UnsupportedFormat(f"unknown dataset format {format!r}")
+    examples = []
+    for where, record in read(path):
+        example_id = _require_id(record, id_key, where, seen)
+        question = _require_str(record, "question", where)
+        golds = _gold_list(record.get(answers_key), where)
+        aliases = record.get(aliases_key)  # None for a format without aliases
+        if isinstance(aliases, list):
+            golds.extend(a for a in aliases if isinstance(a, str) and a)
+        examples.append(QAExample(id=example_id, question=question, gold_answers=golds))
+    return examples
 
 
 def run_benchmark(

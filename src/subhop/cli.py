@@ -8,6 +8,7 @@ pipeline error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -54,9 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--run-dir", dest="run_dir")
     parser.add_argument("--stub-script", dest="stub_script")
     parser.add_argument("--corpus-path", dest="corpus")
-    parser.add_argument("--no-decomposition", action="store_true")
-    parser.add_argument("--no-rewriting", action="store_true")
-    parser.add_argument("--no-update", action="store_true")
+    parser.add_argument("--no-decomposition", dest="decomposition", action="store_false",
+                        default=None)
+    parser.add_argument("--no-rewriting", dest="rewriting", action="store_false", default=None)
+    parser.add_argument("--no-update", dest="graph_update", action="store_false", default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -83,21 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> Config:
-    overrides = {
-        name: getattr(args, name, None)
-        for name in (
-            "backend", "model", "endpoint", "embedder", "embedding_dim",
-            "k_triples", "k_docs", "max_subquestions", "llm_budget",
-            "parallelism", "templates_dir", "snapshot_dir", "run_dir",
-            "stub_script", "corpus",
-        )
-    }
-    if getattr(args, "no_decomposition", False):
-        overrides["decomposition"] = False
-    if getattr(args, "no_rewriting", False):
-        overrides["rewriting"] = False
-    if getattr(args, "no_update", False):
-        overrides["graph_update"] = False
+    fields = {f.name for f in dataclasses.fields(Config)}
+    overrides = {name: value for name, value in vars(args).items() if name in fields}
     return load_config(path=args.config, overrides=overrides)
 
 
@@ -163,6 +152,9 @@ def cmd_index(args: argparse.Namespace, config: Config) -> int:
 
 
 def cmd_ask(args: argparse.Namespace, config: Config) -> int:
+    if not args.question.strip():
+        print("error: the question is blank", file=sys.stderr)
+        return EXIT_USAGE
     if not snapshot_exists(config.snapshot_dir):
         print(
             f"error: no snapshot in {config.snapshot_dir}; run 'subhop index' first",

@@ -8,13 +8,13 @@ from the environment or the config file, never from a CLI flag.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
+from .records import read_json
 
 ENV_PREFIX = "SUBHOP_"
 
@@ -48,6 +48,10 @@ class Config:
     wire_log: str = ""
 
     def validate(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if type(value) not in _ACCEPTED_TYPES[kind]:
+                raise ConfigError(f"{name} must be of type {kind}, got {type(value).__name__}")
         if self.backend not in ("stub", "remote"):
             raise ConfigError(f"backend must be 'stub' or 'remote', got {self.backend!r}")
         for name in ("k_triples", "k_docs", "max_subquestions", "llm_budget",
@@ -70,6 +74,8 @@ class Config:
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Config)}
+# exact types, so JSON true is not the integer 1; a float field also takes an int
+_ACCEPTED_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
 
 
 def _coerce(name: str, raw: str) -> object:
@@ -101,11 +107,9 @@ def load_config(
 
     if path is not None:
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid config file: {exc.msg}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must contain a JSON object")
+            raw = read_json(path, dict)
+        except (ParseError, OSError) as exc:
+            raise ConfigError(f"invalid config file: {exc}") from None
         for name, value in raw.items():
             if name not in _FIELD_TYPES:
                 raise ConfigError(f"unknown config field {name!r}")

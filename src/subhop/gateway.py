@@ -77,18 +77,13 @@ class Budget:
 
 @dataclass
 class _WireLog:
-    """Every prompt and response: appended to the file at ``path`` if one
-    is set, else kept in ``entries``."""
+    """Every prompt and response, appended to the file at ``path``."""
 
-    path: Path | None = None
-    entries: list[dict] = field(default_factory=list)
+    path: Path
     lock: threading.Lock = field(default_factory=threading.Lock)
 
     def append(self, entry: dict) -> None:
         with self.lock:
-            if self.path is None:
-                self.entries.append(entry)
-                return
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(entry, ensure_ascii=False))
                 fh.write("\n")
@@ -108,13 +103,9 @@ class Gateway:
         self.backend = backend
         self.budget = budget
         self.max_tokens = max_tokens
-        self._wire_log = _wire_log or _WireLog(
-            path=Path(wire_log_path) if wire_log_path else None
-        )
-
-    @property
-    def wire_log(self) -> list[dict]:
-        return self._wire_log.entries
+        if _wire_log is None and wire_log_path:
+            _wire_log = _WireLog(Path(wire_log_path))
+        self._wire_log = _wire_log
 
     def with_budget(self, limit: int) -> "Gateway":
         """A view sharing backend, templates and wire log, but with its own
@@ -147,15 +138,16 @@ class Gateway:
         )
         if self.budget is not None:
             self.budget.record(response)
-        self._wire_log.append(
-            {
-                "template": request.template_name,
-                "backend": response.backend,
-                "attempts": response.attempts,
-                "prompt": prompt,
-                "response": response.text,
-            }
-        )
+        if self._wire_log is not None:
+            self._wire_log.append(
+                {
+                    "template": request.template_name,
+                    "backend": response.backend,
+                    "attempts": response.attempts,
+                    "prompt": prompt,
+                    "response": response.text,
+                }
+            )
         return response
 
     def complete_structured(

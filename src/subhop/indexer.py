@@ -13,12 +13,12 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-import json
 
 from .embedders import Embedder
 from .errors import DuplicateDocId, EmptyField, ParseError, StructuredParseError
 from .gateway import ChatRequest, Gateway
 from .kg import KnowledgeGraph, normalize_field
+from .records import read_json_lines
 from .vector import VectorIndex, verbalize_triple
 
 logger = logging.getLogger(__name__)
@@ -61,31 +61,17 @@ def passage_text(doc: Document) -> str:
 def ingest_corpus(path: str | Path) -> Corpus:
     """Load a line-JSON corpus file: {"id": ..., "title": ..., "text": ...}."""
     documents: list[Document] = []
-    seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
-            if not isinstance(record, dict):
-                raise ParseError("corpus record is not an object", line=lineno)
-            doc_id = record.get("id")
-            text = record.get("text")
-            title = record.get("title", "")
-            if not isinstance(doc_id, str) or not doc_id:
-                raise ParseError("missing or invalid 'id'", line=lineno)
-            if not isinstance(text, str) or not text.strip():
-                raise ParseError("missing or empty 'text'", line=lineno)
-            if not isinstance(title, str):
-                raise ParseError("'title' must be a string", line=lineno)
-            if doc_id in seen:
-                raise DuplicateDocId(doc_id)
-            seen.add(doc_id)
-            documents.append(Document(id=doc_id, title=title, text=text))
+    for lineno, record in read_json_lines(path):
+        doc_id = record.get("id")
+        text = record.get("text")
+        title = record.get("title", "")
+        if not isinstance(doc_id, str) or not doc_id:
+            raise ParseError("missing or invalid 'id'", line=lineno)
+        if not isinstance(text, str) or not text.strip():
+            raise ParseError("missing or empty 'text'", line=lineno)
+        if not isinstance(title, str):
+            raise ParseError("'title' must be a string", line=lineno)
+        documents.append(Document(id=doc_id, title=title, text=text))
     return Corpus.from_documents(documents)
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import DuplicateKeyError, EmptyField, ParseError, UnknownId
+from .records import read_json_lines
 
 DYNAMIC_PREFIX = "dynamic:"
 
@@ -156,20 +157,14 @@ class KnowledgeGraph:
         """Read what ``save`` wrote. Ids must run 0..n-1 in file order;
         a gap, a repeat or a reordering raises ParseError."""
         graph = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                triple = _decode_record(line, lineno)
-                if triple.id != len(graph):
-                    raise ParseError(f"triple id {triple.id}, expected {len(graph)}", line=lineno)
-                key = triple.key()
-                if key in graph._key_index:
-                    raise DuplicateKeyError(
-                        f"line {lineno}: dedup key {key} already present"
-                    )
-                graph._store(triple, key)
+        for lineno, record in read_json_lines(path):
+            triple = _decode_record(record, lineno)
+            if triple.id != len(graph):
+                raise ParseError(f"triple id {triple.id}, expected {len(graph)}", line=lineno)
+            key = triple.key()
+            if key in graph._key_index:
+                raise DuplicateKeyError(f"line {lineno}: dedup key {key} already present")
+            graph._store(triple, key)
         return graph
 
 
@@ -186,13 +181,7 @@ def encode_record(t: Triple) -> str:
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
 
-def _decode_record(line: str, lineno: int) -> Triple:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
-    if not isinstance(record, dict):
-        raise ParseError("record is not an object", line=lineno)
+def _decode_record(record: dict, lineno: int) -> Triple:
     try:
         triple_id = record["id"]
         head = record["head"]

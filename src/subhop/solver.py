@@ -90,11 +90,14 @@ class QuestionTrace:
 
 
 def retrieve_for_subquestion(
-    question: str, triple_index: VectorIndex, k: int, embedder: Embedder
-) -> list[tuple[int, float]]:
-    """Exact top-k triples for a rewritten sub-question (empty index
-    yields an empty candidate list)."""
-    return triple_index.top_k(question, k, embedder)
+    question: str, stores: Stores, k: int, embedder: Embedder
+) -> tuple[list[tuple[int, float]], list[tuple[Triple, float]]]:
+    """Exact top-k triples for a rewritten sub-question, read under the
+    store lock: the ``(id, score)`` hits and their ``(Triple, score)``
+    candidates. An empty index yields two empty lists."""
+    with stores.lock.read():
+        hits = stores.triple_index.top_k(question, k, embedder)
+        return hits, [(stores.graph.lookup(tid), score) for tid, score in hits]
 
 
 def render_candidates(candidates: list[tuple[Triple, float]]) -> str:
@@ -292,35 +295,34 @@ def solve(
     gw = gateway.with_budget(config.llm_budget)
     trace = QuestionTrace(question_id=question_id, question=question)
     try:
-        if config.decomposition:
-            plan = decompose(question, gw, cap=config.max_subquestions)
-        else:
-            plan = single_question_plan(question, config.max_subquestions)
-            plan.warnings.append("decompose:disabled")
-        trace.plan = plan
-        if plan.degraded:
-            trace.events.append("decompose:degraded")
+        try:
+            if config.decomposition:
+                plan = decompose(question, gw, cap=config.max_subquestions)
+            else:
+                plan = single_question_plan(question, config.max_subquestions)
+                plan.warnings.append("decompose:disabled")
+            trace.plan = plan
+            if plan.degraded:
+                trace.events.append("decompose:degraded")
 
-        context = AnswerContext()
-        for index, sub_question in enumerate(plan.sub_questions, start=1):
-            sub = _solve_step(
-                index, sub_question, context, question_id, config, stores, gw, embedder
-            )
-            trace.sub_answers.append(sub)
-            context.add(index, sub.answer)
-
-        with stores.lock.read():
-            trace.memory = assemble_graph_memory(trace.sub_answers, stores.graph)
+            context = AnswerContext()
+            for index, sub_question in enumerate(plan.sub_questions, start=1):
+                sub = _solve_step(
+                    index, sub_question, context, question_id, config, stores, gw, embedder
+                )
+                trace.sub_answers.append(sub)
+                context.add(index, sub.answer)
+        finally:
+            # the memory of the steps that ran, whether or not every step did
+            with stores.lock.read():
+                trace.memory = assemble_graph_memory(trace.sub_answers, stores.graph)
         trace.final_answer = generate_final_answer(question, trace.memory, gw)
-        trace.status = "ok"
     except (BudgetExceeded, MissingDependency) as exc:
         budget = isinstance(exc, BudgetExceeded)
         trace.status = "budget_exceeded" if budget else "aborted"
         trace.error = str(exc)
         trace.final_answer = UNKNOWN_ANSWER
         trace.events.append("budget:exceeded" if budget else "dependency:missing")
-        with stores.lock.read():
-            trace.memory = assemble_graph_memory(trace.sub_answers, stores.graph)
     if gw.budget is not None:
         trace.llm_calls = gw.budget.calls
         trace.prompt_tokens = gw.budget.prompt_tokens
@@ -341,9 +343,7 @@ def _solve_step(
     events: list[str] = []
     rewritten = rewrite(sub_question, context, gw, enabled=config.rewriting, events=events)
 
-    with stores.lock.read():
-        hits = retrieve_for_subquestion(rewritten, stores.triple_index, config.k_triples, embedder)
-        candidates = [(stores.graph.lookup(tid), score) for tid, score in hits]
+    hits, candidates = retrieve_for_subquestion(rewritten, stores, config.k_triples, embedder)
     answerable, answer, used = answer_from_triples(rewritten, candidates, gw, events=events)
 
     fallback: FallbackEvent | None = None
@@ -362,13 +362,9 @@ def _solve_step(
             events.append("update:disabled")
         if fallback.written_back_ids:
             # one bounded re-attempt over the refreshed graph
-            with stores.lock.read():
-                retrieved_after = retrieve_for_subquestion(
-                    rewritten, stores.triple_index, config.k_triples, embedder
-                )
-                candidates = [
-                    (stores.graph.lookup(tid), score) for tid, score in retrieved_after
-                ]
+            retrieved_after, candidates = retrieve_for_subquestion(
+                rewritten, stores, config.k_triples, embedder
+            )
             answerable, answer2, used2 = answer_from_triples(
                 rewritten, candidates, gw, events=events
             )

@@ -22,6 +22,7 @@ from .embedders import Embedder
 from .errors import CorpusMismatch, EmbedderMismatch, ParseError
 from .indexer import Corpus, embed_indexes, ingest_corpus
 from .kg import KnowledgeGraph
+from .records import read_json
 from .vector import VectorIndex
 
 GRAPH_FILE = "graph.jsonl"
@@ -129,14 +130,7 @@ def save_stores(
 
 
 def load_manifest(snapshot_dir: str | Path) -> dict:
-    path = Path(snapshot_dir) / MANIFEST_FILE
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid manifest: {exc.msg}") from None
-    if not isinstance(manifest, dict):
-        raise ParseError("manifest must be a JSON object")
-    return manifest
+    return read_json(Path(snapshot_dir) / MANIFEST_FILE, dict)
 
 
 def _check_count(what: str, found: int, recorded: object) -> None:
@@ -175,7 +169,11 @@ def load_stores(
             f"snapshot built with {manifest.get('embedder')}/{manifest.get('dimension')}, "
             f"configured {embedder.name}/{embedder.dimension}"
         )
-    source = Path(corpus_path) if corpus_path else Path(manifest.get("corpus_path", ""))
+    if not corpus_path:
+        corpus_path = manifest.get("corpus_path")
+        if not isinstance(corpus_path, str):
+            raise ParseError("manifest 'corpus_path' must be a string")
+    source = Path(corpus_path)
     if _file_sha256(source) != manifest.get("corpus_sha256"):
         raise CorpusMismatch(f"corpus {source} changed since the snapshot was indexed")
     graph = load_graph(root, manifest)

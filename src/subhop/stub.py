@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import ParseError, StubExhausted
+from .records import read_json
 
 
 @dataclass
@@ -90,22 +91,19 @@ def rule(template: str, response: object, contains: str | None = None,
 def load_stub_script(path: str | Path) -> list[StubRule]:
     """Read a script file: a JSON array of rule objects with keys
     ``template``, ``response`` and optional ``contains``/``repeat``."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid stub script: {exc.msg}") from None
-    if not isinstance(raw, list):
-        raise ParseError("stub script must be a JSON array")
     rules = []
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(read_json(path, list)):
         if not isinstance(entry, dict) or "template" not in entry or "response" not in entry:
             raise ParseError(f"stub rule {i} needs 'template' and 'response'")
+        for key, kind in (("template", str), ("contains", str), ("repeat", bool)):
+            if key in entry and not isinstance(entry[key], kind):
+                raise ParseError(f"stub rule {i}: {key!r} must be a {kind.__name__}")
         rules.append(
             rule(
-                template=str(entry["template"]),
+                template=entry["template"],
                 response=entry["response"],
                 contains=entry.get("contains"),
-                repeat=bool(entry.get("repeat", False)),
+                repeat=entry.get("repeat", False),
             )
         )
     return rules

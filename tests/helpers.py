@@ -22,8 +22,22 @@ from subhop.vector import VectorIndex
 REGISTRY = TemplateRegistry.load()
 
 
+class RecordingStub(StubBackend):
+    """A stub backend that keeps each request it answers, in order, as
+    ``{"template": ..., "prompt": ...}``."""
+
+    def __init__(self, rules: list[StubRule]):
+        super().__init__(rules)
+        self.log: list[dict] = []
+
+    def send(self, template, prompt, variables, temperature, max_tokens):
+        result = super().send(template, prompt, variables, temperature, max_tokens)
+        self.log.append({"template": template, "prompt": prompt})
+        return result
+
+
 def stub_gateway(rules: list[StubRule]) -> Gateway:
-    return Gateway(REGISTRY, StubBackend(rules))
+    return Gateway(REGISTRY, RecordingStub(rules))
 
 
 # -- independent oracles -----------------------------------------------------

@@ -166,3 +166,12 @@ def test_reference_scores_documented_values():
     assert REFERENCE_SCORES["hotpotqa"] == {"em": 56.00, "f1": 64.30}
     assert REFERENCE_SCORES["musique"] == {"em": 29.70, "f1": 38.14}
     assert REFERENCE_SCORES["2wiki"] == {"em": 61.90, "f1": 64.30}
+
+
+@pytest.mark.parametrize("fmt, where", [("generic", "line 1"), ("hotpotqa", "entry 0")])
+def test_load_rejects_a_blank_question(tmp_path, fmt, where):
+    record = {"id": "1", "_id": "1", "question": " \t ", "answers": ["a"], "answer": "a"}
+    text = json.dumps(record) + "\n" if fmt == "generic" else json.dumps([record])
+    path = _write(tmp_path / "d.json", text)
+    with pytest.raises(ParseError, match=f"'question' in {where}"):
+        load_dataset(path, fmt)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from subhop.cli import run
+from subhop.cli import _config_from_args, build_parser, run
 from subhop.config import load_config
 from subhop.errors import ConfigError
 from subhop.kg import KnowledgeGraph
@@ -330,6 +330,15 @@ def test_config_env_bool_parsing(monkeypatch):
     assert load_config().decomposition is True
 
 
+def test_no_flags_turn_their_config_fields_off():
+    args = build_parser().parse_args(
+        ["--no-decomposition", "--no-rewriting", "--no-update", "graph", "stats"])
+    config = _config_from_args(args)
+    assert (config.decomposition, config.rewriting, config.graph_update) == (False,) * 3
+    config = _config_from_args(build_parser().parse_args(["graph", "stats"]))
+    assert (config.decomposition, config.rewriting, config.graph_update) == (True,) * 3
+
+
 def test_ablation_flags_map_to_config(env):
     do_index(env)
     # flags are accepted and do not break a normal ask
@@ -339,3 +348,51 @@ def test_ablation_flags_map_to_config(env):
     # with decomposition disabled the single-element plan needs its own
     # script; exhaustion is a runtime error, not a crash
     assert code in (0, 4)
+
+
+@pytest.mark.parametrize("values", [
+    {"decomposition": "false"}, {"k_triples": "5"}, {"k_triples": True},
+    {"backoff_base": "0.5"}, {"endpoint": 5},
+], ids=["bool-as-string", "int-as-string", "int-as-bool", "float-as-string", "str-as-int"])
+def test_config_rejects_a_value_of_the_wrong_type(tmp_path, capsys, values):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(values), encoding="utf-8")
+    name = next(iter(values))
+    with pytest.raises(ConfigError, match=f"{name} must be of type"):
+        load_config(path)
+    with pytest.raises(ConfigError, match=f"{name} must be of type"):
+        load_config(overrides=values)
+    assert run(["--config", str(path), "graph", "stats"]) == 2
+    err = capsys.readouterr().err
+    assert f"{name} must be of type" in err and "Traceback" not in err
+
+
+def test_config_float_field_takes_an_int():
+    assert load_config(overrides={"backoff_base": 1, "request_timeout": 2}).backoff_base == 1
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    assert run(["--config", str(tmp_path / "nope.json"), "graph", "stats"]) == 2
+    assert "invalid config file" in capsys.readouterr().err
+
+
+def test_ask_blank_question_exits_2(env, capsys):
+    do_index(env)
+    assert run(base_args(env, "ask_script") + ["ask", " \t "]) == 2
+    assert "the question is blank" in capsys.readouterr().err
+
+
+def test_index_corpus_that_is_not_utf8_exits_4(env, capsys):
+    env["corpus"].write_bytes(b'{"id": "d1", "text": "caf\xe9"}\n')
+    assert do_index(env) == 4
+    assert "not UTF-8 text (line 1)" in capsys.readouterr().err
+
+
+def test_ask_with_a_manifest_corpus_path_that_is_not_a_string_exits_4(env, capsys):
+    do_index(env)
+    path = env["snapshot"] / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["corpus_path"] = ["corpus.jsonl"]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert run(base_args(env, "ask_script") + ["ask", TWO_HOP_QUESTION]) == 4
+    assert "'corpus_path' must be a string" in capsys.readouterr().err

@@ -84,13 +84,13 @@ def test_rewrite_substitutes_and_smooths():
     out = rewrite("Who is the spouse of #1?", ctx((1, "Christopher Nolan")), gw)
     assert out == "Who is the spouse of Christopher Nolan?"
     # the prompt carried the literal substitution
-    assert "spouse of Christopher Nolan" in gw.wire_log[0]["prompt"]
+    assert "spouse of Christopher Nolan" in gw.backend.log[0]["prompt"]
 
 
 def test_rewrite_identity_without_placeholders_or_context():
     gw = stub_gateway([])  # any LLM call would raise StubExhausted
     assert rewrite("Who directed Inception?", ctx(), gw) == "Who directed Inception?"
-    assert gw.wire_log == []
+    assert gw.backend.log == []
 
 
 def test_rewrite_missing_dependency():
@@ -104,7 +104,7 @@ def test_rewrite_with_context_but_no_placeholder_still_calls_llm():
     gw = stub_gateway([rule("rewrite", "Standalone question about Nolan?")])
     out = rewrite("And their spouse?", ctx((1, "Christopher Nolan")), gw)
     assert out == "Standalone question about Nolan?"
-    assert len(gw.wire_log) == 1
+    assert len(gw.backend.log) == 1
 
 
 def test_rewrite_llm_failure_returns_substitution():
@@ -119,7 +119,7 @@ def test_rewrite_disabled_is_literal_substitution_only():
     gw = stub_gateway([])
     out = rewrite("Spouse of #1?", ctx((1, "Nolan")), gw, enabled=False)
     assert out == "Spouse of Nolan?"
-    assert gw.wire_log == []
+    assert gw.backend.log == []
 
 
 def test_rewrite_output_with_leftover_placeholder_falls_back():

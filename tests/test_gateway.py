@@ -9,6 +9,7 @@ from subhop.errors import (
     BackendError,
     BudgetExceeded,
     MissingTemplate,
+    ParseError,
     StructuredParseError,
     StubExhausted,
     TemplateError,
@@ -32,12 +33,11 @@ def test_stub_echo():
 
 
 def test_unbound_placeholder_raises_before_any_backend_call():
-    backend = StubBackend([])
-    gw = Gateway(REGISTRY, backend)
+    gw = stub_gateway([])
     with pytest.raises(TemplateError):
         gw.complete(ChatRequest("decompose", {"max_subquestions": 6}))
     # an actual call would have raised StubExhausted instead
-    assert gw.wire_log == []
+    assert gw.backend.log == []
 
 
 def test_unknown_template_name():
@@ -116,8 +116,8 @@ def test_complete_structured_retries_once_then_succeeds():
         required={"answer": str},
     )
     assert parsed == {"answer": "Emma Thomas"}
-    assert len(gw.wire_log) == 2
-    assert gw.wire_log[1]["prompt"].endswith("Respond with valid JSON only.")
+    assert len(gw.backend.log) == 2
+    assert gw.backend.log[1]["prompt"].endswith("Respond with valid JSON only.")
 
 
 def test_complete_structured_fails_after_second_prose():
@@ -229,6 +229,18 @@ def test_stub_script_file_round_trip(tmp_path):
     assert rules[1].repeat is True
 
 
+@pytest.mark.parametrize("key, value", [
+    ("contains", 5), ("contains", None), ("contains", ["spouse"]),
+    ("template", 5), ("repeat", "false"),
+])
+def test_load_stub_script_rejects_a_field_of_the_wrong_type(tmp_path, key, value):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps([{"template": "final_answer", "response": "x", key: value}]),
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match=f"stub rule 0: '{key}' must be a"):
+        load_stub_script(path)
+
+
 # -- remote backend ----------------------------------------------------------
 
 
@@ -241,14 +253,15 @@ def _remote(endpoint, **kw):
     return backend, delays
 
 
-def test_remote_retries_transient_429_then_succeeds():
+def test_remote_retries_transient_429_then_succeeds(tmp_path):
+    log_path = tmp_path / "wire.jsonl"
     with MockChatServer([(429, "slow down"), (429, "slow down"), (200, "hello")]) as server:
         backend, delays = _remote(server.endpoint)
-        gw = Gateway(REGISTRY, backend)
+        gw = Gateway(REGISTRY, backend, wire_log_path=log_path)
         response = gw.complete(ChatRequest("final_answer", {"question": "q", "memory": "m"}))
     assert response.text == "hello"
     assert response.attempts == 3
-    assert gw.wire_log[0]["attempts"] == 3
+    assert json.loads(log_path.read_text(encoding="utf-8").splitlines()[0])["attempts"] == 3
     assert delays == sorted(delays) and len(delays) == 2
 
 
@@ -352,7 +365,7 @@ def test_wire_log_with_a_path_keeps_no_entries_in_memory(tmp_path):
     for i in range(5):
         (view if i % 2 else gw).complete(
             ChatRequest("final_answer", {"question": f"q{i}", "memory": "m"}))
-    assert gw.wire_log == [] and view.wire_log == []
+    assert not hasattr(gw, "wire_log") and not hasattr(view, "wire_log")
     lines = log_path.read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["response"] for line in lines] == ["x"] * 5
     assert ["q3" in json.loads(line)["prompt"] for line in lines] == [False] * 3 + [True, False]

@@ -5,7 +5,7 @@ import pytest
 from subhop.config import Config
 from subhop.embedders import Embedding, FixtureEmbedder, basis_vector
 from subhop.errors import DimensionMismatch, UnknownId
-from subhop.indexer import split_for_extraction
+from subhop.indexer import Corpus, split_for_extraction
 from subhop.kg import KnowledgeGraph
 from subhop.solver import (
     FallbackEvent,
@@ -22,6 +22,7 @@ from subhop.solver import (
     update_graph_with_new_triples,
     validate_trace_dict,
 )
+from subhop.stores import Stores
 from subhop.stub import rule
 from subhop.vector import VectorIndex, verbalize_triple
 
@@ -36,7 +37,7 @@ from helpers import (
 )
 
 
-def small_graph_and_index():
+def small_stores():
     graph = KnowledgeGraph()
     dim = 4
     embedder = FixtureEmbedder({"q near 1": basis_vector(1, dim)})
@@ -45,21 +46,24 @@ def small_graph_and_index():
         tid, _ = graph.insert(h, r, t, "doc:d", 0)
         embedder.add(verbalize_triple(graph.lookup(tid)), basis_vector(i, dim))
         assert append_row(index, verbalize_triple(graph.lookup(tid)), embedder) == tid
-    return graph, index, embedder
+    stores = Stores(graph=graph, triple_index=index, passage_index=VectorIndex(dimension=dim),
+                    corpus=Corpus.from_documents([]))
+    return stores, embedder
 
 
 def test_retrieve_nearest_triple():
-    graph, index, embedder = small_graph_and_index()
-    hits = retrieve_for_subquestion("q near 1", index, 1, embedder)
+    stores, embedder = small_stores()
+    hits, candidates = retrieve_for_subquestion("q near 1", stores, 1, embedder)
     assert [key for key, _ in hits] == [1]
     assert hits[0][1] == pytest.approx(1.0)
+    assert candidates == [(stores.graph.lookup(1), hits[0][1])]
 
 
 def test_retrieve_k_beyond_size_and_determinism():
-    graph, index, embedder = small_graph_and_index()
-    hits = retrieve_for_subquestion("q near 1", index, 5, embedder)
+    stores, embedder = small_stores()
+    hits, candidates = retrieve_for_subquestion("q near 1", stores, 5, embedder)
     assert len(hits) == 3
-    assert hits == retrieve_for_subquestion("q near 1", index, 5, embedder)
+    assert (hits, candidates) == retrieve_for_subquestion("q near 1", stores, 5, embedder)
 
 
 def _candidates(graph, ids_scores):
@@ -77,13 +81,13 @@ def test_answer_from_triples_happy_path():
         "Who directed Inception?", _candidates(graph, [(0, 1.0)]), gw
     )
     assert (answerable, answer, used) == (True, "Christopher Nolan", [0])
-    assert "0. Inception | directed by | Christopher Nolan" in gw.wire_log[0]["prompt"]
+    assert "0. Inception | directed by | Christopher Nolan" in gw.backend.log[0]["prompt"]
 
 
 def test_answer_from_triples_empty_candidates_no_llm_call():
     gw = stub_gateway([])
     assert answer_from_triples("q", [], gw) == (False, "", [])
-    assert gw.wire_log == []
+    assert gw.backend.log == []
 
 
 def test_answer_from_triples_filters_foreign_ids_and_coerces():
@@ -169,7 +173,7 @@ def test_fallback_extracts_the_document_block_per_chunk(tmp_path):
         _, event = fallback_answer_from_docs(
             question, world.stores, gw, world.embedder, 3, **budget
         )
-        prompts = [e["prompt"] for e in gw.wire_log if e["template"] == "extract_triples"]
+        prompts = [e["prompt"] for e in gw.backend.log if e["template"] == "extract_triples"]
         assert event.new_triples == [("A", "r", "B")] * len(prompts)
         return prompts, event.retrieved_doc_ids
 
@@ -275,8 +279,8 @@ def test_written_back_triple_is_retrievable(tmp_path):
     update_graph_with_new_triples(
         world.stores.graph, world.stores.triple_index, event, "q1", 2, world.embedder
     )
-    hits = retrieve_for_subquestion(
-        "Who is the spouse of Christopher Nolan?", world.stores.triple_index, 1, world.embedder
+    hits, _ = retrieve_for_subquestion(
+        "Who is the spouse of Christopher Nolan?", world.stores, 1, world.embedder
     )
     assert [key for key, _ in hits] == event.written_back_ids
 
@@ -336,7 +340,7 @@ def test_generate_final_answer_renders_memory():
     gw = stub_gateway([rule("final_answer", "Emma Thomas")])
     answer = generate_final_answer("who?", memory, gw)
     assert answer == "Emma Thomas"
-    prompt = gw.wire_log[0]["prompt"]
+    prompt = gw.backend.log[0]["prompt"]
     assert "step 1: Inception | directed by | Christopher Nolan" in prompt
     assert "step 2: Christopher Nolan | spouse | Emma Thomas" in prompt
 
@@ -346,7 +350,7 @@ def test_generate_final_answer_empty_memory_still_calls():
     from subhop.solver import GraphMemory
 
     assert generate_final_answer("q", GraphMemory(), gw) == "UNKNOWN"
-    assert "(no evidence retrieved)" in gw.wire_log[0]["prompt"]
+    assert "(no evidence retrieved)" in gw.backend.log[0]["prompt"]
 
 
 def test_generate_final_answer_llm_failure():
