@@ -2,7 +2,7 @@
 
 from .config import Config, load_config
 from .embedders import Embedding, FixtureEmbedder, HashedBagEmbedder, make_embedder
-from .gateway import ChatRequest, ChatResponse, Gateway
+from .gateway import ChatRequest, Gateway
 from .kg import KnowledgeGraph, Triple, dedup_key
 from .solver import QuestionTrace, solve
 from .stores import Stores, load_stores, save_stores
@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChatRequest",
-    "ChatResponse",
     "Config",
     "Embedding",
     "FixtureEmbedder",

@@ -8,6 +8,7 @@ bounded retry on top.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import re
@@ -47,15 +48,6 @@ class ChatRequest:
     suffix: str = ""
 
 
-@dataclass(frozen=True)
-class ChatResponse:
-    text: str
-    prompt_tokens: int
-    completion_tokens: int
-    backend: str
-    attempts: int = 1
-
-
 @dataclass
 class Budget:
     """Per-question gateway call accounting."""
@@ -70,9 +62,9 @@ class Budget:
             raise BudgetExceeded(self.limit)
         self.calls += 1
 
-    def record(self, response: ChatResponse) -> None:
-        self.prompt_tokens += response.prompt_tokens
-        self.completion_tokens += response.completion_tokens
+    def record(self, result: BackendResult) -> None:
+        self.prompt_tokens += result.prompt_tokens
+        self.completion_tokens += result.completion_tokens
 
 
 @dataclass
@@ -96,26 +88,22 @@ class Gateway:
         backend: Backend,
         wire_log_path: str | Path | None = None,
         budget: Budget | None = None,
-        _wire_log: _WireLog | None = None,
         max_tokens: int = 512,
     ):
         self.registry = registry
         self.backend = backend
         self.budget = budget
         self.max_tokens = max_tokens
-        if _wire_log is None and wire_log_path:
-            _wire_log = _WireLog(Path(wire_log_path))
-        self._wire_log = _wire_log
+        self._wire_log = _WireLog(Path(wire_log_path)) if wire_log_path else None
 
     def with_budget(self, limit: int) -> "Gateway":
         """A view sharing backend, templates and wire log, but with its own
         call budget. Used to enforce the per-question limit."""
-        return Gateway(
-            self.registry, self.backend, budget=Budget(limit),
-            _wire_log=self._wire_log, max_tokens=self.max_tokens,
-        )
+        view = copy.copy(self)
+        view.budget = Budget(limit)
+        return view
 
-    def complete(self, request: ChatRequest) -> ChatResponse:
+    def complete(self, request: ChatRequest) -> BackendResult:
         """Render the template and call the backend.
 
         Template problems (unknown name, unbound placeholder) raise before
@@ -129,26 +117,19 @@ class Gateway:
         result = self.backend.send(
             request.template_name, prompt, request.variables, 0.0, self.max_tokens
         )
-        response = ChatResponse(
-            text=result.text,
-            prompt_tokens=result.prompt_tokens,
-            completion_tokens=result.completion_tokens,
-            backend=self.backend.name,
-            attempts=result.attempts,
-        )
         if self.budget is not None:
-            self.budget.record(response)
+            self.budget.record(result)
         if self._wire_log is not None:
             self._wire_log.append(
                 {
                     "template": request.template_name,
-                    "backend": response.backend,
-                    "attempts": response.attempts,
+                    "backend": self.backend.name,
+                    "attempts": result.attempts,
                     "prompt": prompt,
-                    "response": response.text,
+                    "response": result.text,
                 }
             )
-        return response
+        return result
 
     def complete_structured(
         self,

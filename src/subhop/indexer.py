@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .embedders import Embedder
-from .errors import DuplicateDocId, EmptyField, ParseError, StructuredParseError
+from .errors import DuplicateDocId, ParseError, StructuredParseError
 from .gateway import ChatRequest, Gateway
 from .kg import KnowledgeGraph, normalize_field
 from .records import read_json_lines
@@ -208,13 +208,7 @@ def build_graph_index(
             continue
         for head, relation, tail in rows:
             report.triples_extracted += 1
-            try:
-                _, inserted = graph.insert(
-                    head, relation, tail, provenance=f"doc:{doc.id}", step=0
-                )
-            except EmptyField:
-                logger.warning("skipping empty-field triple from %s", doc.id)
-                continue
+            _, inserted = graph.insert(head, relation, tail, provenance=f"doc:{doc.id}", step=0)
             if inserted:
                 report.stored += 1
             else:

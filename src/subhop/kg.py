@@ -65,9 +65,6 @@ class Triple:
     def is_dynamic(self) -> bool:
         return self.provenance.startswith(DYNAMIC_PREFIX)
 
-    def key(self) -> DedupKey:
-        return dedup_key(self.head, self.relation, self.tail)
-
 
 @dataclass(frozen=True)
 class GraphStats:
@@ -111,9 +108,10 @@ class KnowledgeGraph:
         existing = self._key_index.get(key)
         if existing is not None:
             return existing, False
-        triple = Triple(len(self._triples), *fields, provenance, step)
-        self._store(triple, key)
-        return triple.id, True
+        triple_id = len(self._triples)
+        self._triples.append(Triple(triple_id, *fields, provenance, step))
+        self._key_index[key] = triple_id
+        return triple_id, True
 
     def new_fields(self, head: str, relation: str, tail: str) -> tuple[str, str, str] | None:
         """The normalized fields ``insert`` would store, or None when an
@@ -121,10 +119,6 @@ class KnowledgeGraph:
         ``insert`` does."""
         fields, key = _normalize(head, relation, tail)
         return None if key in self._key_index else fields
-
-    def _store(self, triple: Triple, key: DedupKey) -> None:
-        self._triples.append(triple)
-        self._key_index[key] = triple.id
 
     def lookup(self, triple_id: int) -> Triple:
         """The triple with this id; UnknownId unless 0 <= id < len(self)."""
@@ -154,17 +148,24 @@ class KnowledgeGraph:
 
     @classmethod
     def load(cls, path: str | Path) -> "KnowledgeGraph":
-        """Read what ``save`` wrote. Ids must run 0..n-1 in file order;
-        a gap, a repeat or a reordering raises ParseError."""
+        """Read what ``save`` wrote, storing each line through ``insert``.
+
+        Ids must run 0..n-1 in file order; a gap, a repeat or a reordering
+        raises ParseError, as does a field that is empty once normalized.
+        A line that ``insert`` finds already stored, once normalized,
+        raises DuplicateKeyError naming the line.
+        """
         graph = cls()
         for lineno, record in read_json_lines(path):
-            triple = _decode_record(record, lineno)
-            if triple.id != len(graph):
-                raise ParseError(f"triple id {triple.id}, expected {len(graph)}", line=lineno)
-            key = triple.key()
-            if key in graph._key_index:
-                raise DuplicateKeyError(f"line {lineno}: dedup key {key} already present")
-            graph._store(triple, key)
+            triple_id, fields, provenance, step = _decode_record(record, lineno)
+            if triple_id != len(graph):
+                raise ParseError(f"triple id {triple_id}, expected {len(graph)}", line=lineno)
+            try:
+                existing, new = graph.insert(*fields, provenance, step)
+            except EmptyField:
+                raise ParseError("empty triple field", line=lineno) from None
+            if not new:
+                raise DuplicateKeyError(f"line {lineno}: duplicates triple {existing}")
         return graph
 
 
@@ -181,7 +182,9 @@ def encode_record(t: Triple) -> str:
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
 
-def _decode_record(record: dict, lineno: int) -> Triple:
+def _decode_record(record: dict, lineno: int) -> tuple[int, tuple[str, str, str], str, int]:
+    """A snapshot line's id, (head, relation, tail), provenance and step,
+    type-checked but not normalized."""
     try:
         triple_id = record["id"]
         head = record["head"]
@@ -197,7 +200,4 @@ def _decode_record(record: dict, lineno: int) -> Triple:
                         ("provenance", provenance)):
         if not isinstance(value, str):
             raise ParseError(f"{name} must be a string", line=lineno)
-    if not (normalize_field(head) and normalize_field(relation) and normalize_field(tail)):
-        raise ParseError("empty triple field", line=lineno)
-    return Triple(triple_id, normalize_field(head), normalize_field(relation),
-                  normalize_field(tail), provenance, step)
+    return triple_id, (head, relation, tail), provenance, step

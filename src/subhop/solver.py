@@ -26,10 +26,10 @@ from .decompose import (
 from .embedders import Embedder
 from .errors import LLM_FAILURES, BudgetExceeded, EmptyField, MissingDependency
 from .gateway import ChatRequest, Gateway
-from .indexer import DEFAULT_CHAR_BUDGET, TripleRow, extract_triples
+from .indexer import DEFAULT_CHAR_BUDGET, TripleRow, extract_triples, passage_text
 from .kg import KnowledgeGraph, Triple
 from .stores import Stores
-from .vector import VectorIndex, verbalize
+from .vector import verbalize
 
 logger = logging.getLogger(__name__)
 
@@ -179,10 +179,7 @@ def fallback_answer_from_docs(
         hits = stores.passage_index.top_k(question, k_docs, embedder)
     docs = [stores.corpus.documents[key] for key, _ in hits]
     event.retrieved_doc_ids = [doc.id for doc in docs]
-    doc_block = "\n\n".join(
-        f"[{doc.id}] {doc.title}\n{doc.text}" if doc.title else f"[{doc.id}] {doc.text}"
-        for doc in docs
-    )
+    doc_block = "\n\n".join(f"[{doc.id}] {passage_text(doc)}" for doc in docs)
     answer = UNKNOWN_ANSWER
     try:
         payload = gateway.complete_structured(
@@ -206,34 +203,42 @@ def fallback_answer_from_docs(
 
 
 def update_graph_with_new_triples(
-    graph: KnowledgeGraph,
-    triple_index: VectorIndex,
+    stores: Stores,
     event: FallbackEvent,
     question_id: str,
     step: int,
     embedder: Embedder,
 ) -> FallbackEvent:
     """Write validated fallback triples into the graph and the triple
-    index. Duplicates are silently skipped; only genuinely new ids land in
-    ``written_back_ids``. Each triple is embedded before it enters the
-    graph, so a failing embedder leaves no graph triple without an index
-    row. Caller holds the writer lock."""
+    index, under the stores' writer lock. Duplicates are silently skipped;
+    only genuinely new ids land in ``written_back_ids``.
+
+    Raises ValueError, writing nothing, unless the graph and the triple
+    index hold as many rows, as they must for a triple's id to be its
+    row. Each new triple's row is appended (``VectorIndex.extend`` embeds
+    before it writes) before the graph takes the triple, so a failing
+    embedder leaves no graph triple without its index row.
+    """
     event.written_back_ids = []
-    for row in event.new_triples:
-        try:
-            fields = graph.new_fields(*row)
-        except EmptyField:
-            logger.warning("skipping empty-field write-back triple")
-            continue
-        if fields is None:
-            continue
-        text = verbalize(*fields)
-        embedding = triple_index.embed(text, embedder)
-        triple_id, _ = graph.insert(
-            *fields, provenance=f"dynamic:{question_id}", step=step
-        )
-        triple_index.upsert(triple_id, text, embedding)
-        event.written_back_ids.append(triple_id)
+    with stores.lock.write():
+        graph, triple_index = stores.graph, stores.triple_index
+        if len(graph) != len(triple_index):
+            raise ValueError(
+                f"graph holds {len(graph)} triples but its index {len(triple_index)} rows"
+            )
+        for row in event.new_triples:
+            try:
+                fields = graph.new_fields(*row)
+            except EmptyField:
+                logger.warning("skipping empty-field write-back triple")
+                continue
+            if fields is None:
+                continue
+            triple_index.extend([verbalize(*fields)], embedder)
+            triple_id, _ = graph.insert(
+                *fields, provenance=f"dynamic:{question_id}", step=step
+            )
+            event.written_back_ids.append(triple_id)
     return event
 
 
@@ -354,10 +359,7 @@ def _solve_step(
             char_budget=config.extract_char_budget,
         )
         if config.graph_update:
-            with stores.lock.write():
-                update_graph_with_new_triples(
-                    stores.graph, stores.triple_index, fallback, question_id, index, embedder
-                )
+            update_graph_with_new_triples(stores, fallback, question_id, index, embedder)
         else:
             events.append("update:disabled")
         if fallback.written_back_ids:

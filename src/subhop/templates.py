@@ -37,14 +37,18 @@ class TemplateRegistry:
 
     @classmethod
     def load(cls, directory: str | Path | None = None) -> "TemplateRegistry":
-        """Load all templates; a missing file fails here, not at call time."""
+        """Load all templates; a missing file, or one that is not UTF-8,
+        fails here, not at call time."""
         root = Path(directory) if directory else resources.files("subhop") / "templates"
         templates: dict[str, str] = {}
         for name in TEMPLATE_NAMES:
             candidate = root / f"{name}.txt"
             if not candidate.is_file():
                 raise MissingTemplate(name)
-            templates[name] = candidate.read_text(encoding="utf-8")
+            try:
+                templates[name] = candidate.read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                raise TemplateError(f"template file {candidate} is not UTF-8 text") from None
         return cls(templates)
 
     def __len__(self) -> int:

@@ -60,9 +60,10 @@ def _with_room(array: np.ndarray, used: int, needed: int) -> np.ndarray:
 
 
 class VectorIndex:
-    """Append-only map from row numbers to (text, embedding). A row's key
-    is its position: the triple id in the triple index, the corpus
-    position in the passage index.
+    """Append-only map from row numbers to (text, embedding). Rows enter
+    only through ``extend``, at the next row numbers, so a row's key is
+    its position: the triple id in the triple index, the corpus position
+    in the passage index.
 
     Each of the ``dimension`` columns has a posting: a float64 array of
     shape ``(2, capacity)`` holding, in its first ``fill`` places, the
@@ -100,48 +101,31 @@ class VectorIndex:
                 f"embedder dimension {embedder.dimension} != index dimension {self._dimension}"
             )
 
-    def embed(self, text: str, embedder: Embedder) -> Embedding:
-        """The embedding of ``text`` that a row stores; raises
-        DimensionMismatch, before anything is written, if it does not fit."""
-        self._check_embedder(embedder)
-        emb = embedder.embed(text)
-        if emb.dimension != self._dimension:
-            raise DimensionMismatch(
-                f"vector of dimension {emb.dimension} does not fit dimension {self._dimension}"
-            )
-        return emb
-
-    def upsert(self, key: int, text: str, embedding: Embedding) -> None:
-        """Append ``text`` as row ``key``, which must be the next row,
-        ``len(self)``; any other key raises ValueError, so the index cannot
-        drift apart from the list it mirrors. ``embedding`` must be
-        ``embed(text, embedder)``; a column outside the dimension raises
-        DimensionMismatch before anything is written."""
-        if key != self._n:
-            raise ValueError(f"upsert of key {key}, the next row is {self._n}")
-        self._append([text], list(embedding.columns), list(embedding.weights),
-                     [len(embedding.columns)], [embedding.norm])
-
     def extend(self, texts: Iterable[str], embedder: Embedder) -> None:
-        """Append one row per text, each the row ``upsert`` would write."""
+        """Append one row per text, keyed by the next row numbers.
+
+        Every text is embedded, and every embedding checked to fit the
+        dimension, before anything is written: an embedder that raises, or
+        a vector that does not fit (DimensionMismatch), leaves the index
+        unchanged. The rows' (column, weight) entries are then stably
+        sorted by column, which keeps each column's rows ascending, and
+        each posting grows once.
+        """
         self._check_embedder(embedder)
         texts = list(texts)
         columns: list[int] = []
         weights: list[float] = []
         counts, norms = [], []
         for text in texts:
-            emb = self.embed(text, embedder)
+            emb = embedder.embed(text)
+            if emb.dimension != self._dimension:
+                raise DimensionMismatch(
+                    f"vector of dimension {emb.dimension} does not fit dimension {self._dimension}"
+                )
             columns += emb.columns
             weights += emb.weights
             counts.append(len(emb.columns))
             norms.append(emb.norm)
-        self._append(texts, columns, weights, counts, norms)
-
-    def _append(self, texts: list[str], columns: list[int], weights: list[float],
-                counts: list[int], norms: list[float]) -> None:
-        """Append rows given as (column, weight) entries, ``counts[i]`` of
-        them for the i-th row, in one pass: a stable sort by column keeps
-        each column's rows ascending, and each posting grows once."""
         start, end = self._n, self._n + len(texts)
         columns = np.array(columns, dtype=np.intp)
         per_column = np.bincount(columns, minlength=self._dimension)

@@ -65,7 +65,7 @@ def append_row(index: VectorIndex, text: str, embedder: Embedder) -> int:
     """Append ``text`` as the index's next row, as a write-back does, and
     return its key."""
     key = len(index)
-    index.upsert(key, text, index.embed(text, embedder))
+    index.extend([text], embedder)
     return key
 
 

@@ -1,4 +1,6 @@
 import json
+import shutil
+from importlib import resources
 
 import pytest
 
@@ -386,6 +388,16 @@ def test_index_corpus_that_is_not_utf8_exits_4(env, capsys):
     env["corpus"].write_bytes(b'{"id": "d1", "text": "caf\xe9"}\n')
     assert do_index(env) == 4
     assert "not UTF-8 text (line 1)" in capsys.readouterr().err
+
+
+def test_index_with_a_template_that_is_not_utf8_exits_4(env, capsys):
+    templates = env["tmp"] / "templates"
+    shutil.copytree(resources.files("subhop") / "templates", templates)
+    (templates / "final_answer.txt").write_bytes("Réponse : {question}\n".encode("latin-1"))
+    assert run(["--templates-dir", str(templates)] + base_args(env, "index_script")
+               + ["index", "--corpus", str(env["corpus"])]) == 4
+    assert "final_answer.txt is not UTF-8 text" in capsys.readouterr().err
+    assert not (env["snapshot"] / "manifest.json").exists()
 
 
 def test_ask_with_a_manifest_corpus_path_that_is_not_a_string_exits_4(env, capsys):

@@ -29,7 +29,7 @@ def test_stub_echo():
     gw = stub_gateway([rule("decompose", DECOMPOSE_TEXT)])
     response = gw.complete(ChatRequest("decompose", {"question": "x", "max_subquestions": 6}))
     assert response.text == DECOMPOSE_TEXT
-    assert response.backend == "stub"
+    assert gw.backend.name == "stub"
 
 
 def test_unbound_placeholder_raises_before_any_backend_call():

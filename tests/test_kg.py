@@ -143,15 +143,43 @@ def test_load_accepts_only_ids_in_file_order(tmp_path, ids, line):
     assert exc.value.line == line
 
 
+def _write_records(path, fields):
+    path.write_text("".join(
+        json.dumps({"id": tid, "head": h, "relation": r, "tail": t, "provenance": "doc:d1",
+                    "step": 0}) + "\n"
+        for tid, (h, r, t) in enumerate(fields)
+    ), encoding="utf-8")
+
+
 def test_load_duplicate_dedup_key_rejected(tmp_path):
+    # line 3 duplicates line 1 only once normalized and casefolded
     path = tmp_path / "graph.jsonl"
-    records = [
-        {"id": 0, "head": "A", "relation": "r", "tail": "B", "provenance": "doc:d1", "step": 0},
-        {"id": 1, "head": "a", "relation": "R", "tail": "b", "provenance": "doc:d2", "step": 0},
-    ]
-    path.write_text("".join(json.dumps(r) + "\n" for r in records))
-    with pytest.raises(DuplicateKeyError):
+    _write_records(path, [("A b", "r", "B"), ("X", "r", "Y"), (" a  B", "R", "b\t")])
+    with pytest.raises(DuplicateKeyError, match="line 3"):
         KnowledgeGraph.load(path)
+
+
+def test_load_stores_fields_as_insert_does(tmp_path):
+    fields = [("  Inception ", "directed\tby", "Christopher   Nolan"), ("A\n b", " r", "c ")]
+    path = tmp_path / "graph.jsonl"
+    _write_records(path, fields)
+    inserted = KnowledgeGraph()
+    for h, r, t in fields:
+        inserted.insert(h, r, t, "doc:d1", 0)
+    assert KnowledgeGraph.load(path) == inserted
+    assert [(t.head, t.relation, t.tail) for t in inserted] == [
+        ("Inception", "directed by", "Christopher Nolan"), ("A b", "r", "c")]
+
+
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["head", "relation", "tail"])
+def test_load_field_empty_after_normalization_names_its_line(tmp_path, position):
+    fields = ["X", "r", "Y"]
+    fields[position] = " \t "
+    path = tmp_path / "graph.jsonl"
+    _write_records(path, [("A", "r", "B"), tuple(fields)])
+    with pytest.raises(ParseError) as exc:
+        KnowledgeGraph.load(path)
+    assert exc.value.line == 2
 
 
 def test_load_missing_field(tmp_path):
@@ -212,7 +240,7 @@ def test_dedup_soundness_exhaustive_scan():
     for _ in range(300):
         g.insert(f"H{rng.randrange(20)}", f"r{rng.randrange(4)}", f"T{rng.randrange(20)}",
                  "doc:x", 0)
-    keys = [t.key() for t in g]
+    keys = [dedup_key(t.head, t.relation, t.tail) for t in g]
     assert len(keys) == len(set(keys))
 
 

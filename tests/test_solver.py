@@ -32,6 +32,7 @@ from helpers import (
     TWO_HOP_QUESTION,
     append_row,
     build_two_hop_world,
+    index_rows,
     stub_gateway,
     two_hop_ask_rules,
 )
@@ -222,7 +223,7 @@ def test_update_graph_with_new_triples_dedup(tmp_path):
         ("Inception", "directed by", "Christopher Nolan"),  # duplicate of id 0
         ("New Entity", "relates to", "Other"),
     ])
-    update_graph_with_new_triples(graph, index, event, "q77", 2, world.embedder)
+    update_graph_with_new_triples(world.stores, event, "q77", 2, world.embedder)
     assert len(graph) == before + 1
     assert len(event.written_back_ids) == 1
     new_id = event.written_back_ids[0]
@@ -257,7 +258,7 @@ def test_failed_write_back_embed_keeps_graph_and_index_in_sync(tmp_path, failure
         ("Emma Thomas", "spouse", "Christopher Nolan"),
     ])
     with pytest.raises(error):
-        update_graph_with_new_triples(graph, index, event, "q9", 2, FailsOnSecondTriple())
+        update_graph_with_new_triples(world.stores, event, "q9", 2, FailsOnSecondTriple())
     assert len(graph) == len(index) == before + 1
     assert event.written_back_ids == [before]
     assert list(index.entries()) == [(t.id, verbalize_triple(t)) for t in graph]
@@ -267,18 +268,31 @@ def test_update_noop_on_empty_event(tmp_path):
     world = build_two_hop_world(tmp_path)
     before = len(world.stores.graph)
     event = FallbackEvent()
-    update_graph_with_new_triples(
-        world.stores.graph, world.stores.triple_index, event, "q1", 1, world.embedder
-    )
+    update_graph_with_new_triples(world.stores, event, "q1", 1, world.embedder)
     assert event.written_back_ids == [] and len(world.stores.graph) == before
+
+
+@pytest.mark.parametrize("extra", ["graph", "index"])
+def test_write_back_into_stores_of_unequal_length_raises_and_writes_nothing(tmp_path, extra):
+    world = build_two_hop_world(tmp_path)
+    graph, index = world.stores.graph, world.stores.triple_index
+    world.embedder.add("Emma Thomas born in London", basis_vector(6, 8))
+    if extra == "graph":
+        graph.insert("Emma Thomas", "born in", "London", "doc:d2", 0)
+    else:
+        index.extend(["Emma Thomas born in London"], world.embedder)
+    triples, rows = list(graph), index_rows(index)
+    event = FallbackEvent(new_triples=[("Christopher Nolan", "spouse", "Emma Thomas")])
+    with pytest.raises(ValueError, match="graph holds"):
+        update_graph_with_new_triples(world.stores, event, "q1", 2, world.embedder)
+    assert list(graph) == triples and index_rows(index) == rows
+    assert event.written_back_ids == []
 
 
 def test_written_back_triple_is_retrievable(tmp_path):
     world = build_two_hop_world(tmp_path)
     event = FallbackEvent(new_triples=[("Christopher Nolan", "spouse", "Emma Thomas")])
-    update_graph_with_new_triples(
-        world.stores.graph, world.stores.triple_index, event, "q1", 2, world.embedder
-    )
+    update_graph_with_new_triples(world.stores, event, "q1", 2, world.embedder)
     hits, _ = retrieve_for_subquestion(
         "Who is the spouse of Christopher Nolan?", world.stores, 1, world.embedder
     )

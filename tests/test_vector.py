@@ -64,30 +64,43 @@ def test_upsert_then_top_k_returns_key():
     assert index.top_k("t0", 1, embedder) == [(0, pytest.approx(1.0))]
 
 
-@pytest.mark.parametrize("key", [0, 2, 5, -1])
-def test_upsert_only_appends_the_next_row(key):
-    index, embedder = make_index({0: [1.0, 0.0]})
-    embedder.add("b", [0.0, 1.0])
-    before = index_rows(index)
-    with pytest.raises(ValueError, match="next row is 1"):
-        index.upsert(key, "b", index.embed("b", embedder))
-    assert index_rows(index) == before
-    index.upsert(1, "b", index.embed("b", embedder))
-    assert list(index.entries()) == [(0, "t0"), (1, "b")]
-    assert index.top_k("b", 1, embedder) == [(1, pytest.approx(1.0))]
+class _Given:
+    """A 2-column embedder that returns the embedding it was given for each
+    text, whether or not it fits."""
+
+    name = "given"
+    dimension = 2
+
+    def __init__(self, embeddings: dict[str, Embedding]):
+        self._embeddings = embeddings
+
+    def embed(self, text: str) -> Embedding:
+        return self._embeddings[text]
 
 
-def test_upsert_dimension_mismatch():
+_FITS = Embedding.of([0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "embedder, error",
+    [
+        (FixtureEmbedder({"ok": [0.0, 1.0, 0.0], "x": [1.0, 2.0, 3.0]}), DimensionMismatch),
+        (_Given({"ok": _FITS, "x": Embedding.of([1.0, 0.0, 0.0])}), DimensionMismatch),
+        (_Given({"ok": _FITS, "x": Embedding((0, 2), (1.0, 1.0), math.sqrt(2.0), 2)}),
+         DimensionMismatch),
+        (_Given({"ok": _FITS}), KeyError),
+    ],
+    ids=["embedder-dimension", "vector-dimension", "column-outside", "embedder-raises"],
+)
+def test_extend_that_fails_leaves_the_index_unchanged(embedder, error):
+    # "x" does not fit or cannot be embedded; "ok", before it, fits
     index, _ = make_index({0: [1.0, 0.0]})
-    other = FixtureEmbedder({"x": [1.0, 2.0, 3.0]})
-    with pytest.raises(DimensionMismatch):
-        index.embed("x", other)
-    with pytest.raises(DimensionMismatch):
-        index.extend(["x"], other)
     before = index_rows(index)
-    with pytest.raises(DimensionMismatch):  # a column outside the dimension
-        index.upsert(1, "y", Embedding((0, 2), (1.0, 1.0), math.sqrt(2.0), 2))
-    assert len(index) == 1 and index_rows(index) == before
+    with pytest.raises(error):
+        index.extend(["ok", "x"], embedder)
+    assert index_rows(index) == before
+    index.extend(["ok"], _Given({"ok": _FITS}))
+    assert list(index.entries()) == [(0, "t0"), (1, "ok")]
 
 
 def test_top_k_orthogonal_case():
