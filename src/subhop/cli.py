@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import os
 import sys
 from pathlib import Path
 
@@ -125,9 +126,6 @@ def _load_snapshot(config: Config):
 
 def cmd_index(args: argparse.Namespace, config: Config) -> int:
     corpus_path = Path(args.corpus)
-    if not corpus_path.exists():
-        print(f"error: corpus file not found: {corpus_path}", file=sys.stderr)
-        return EXIT_MISSING
     if snapshot_exists(config.snapshot_dir) and not args.force:
         print(
             f"error: snapshot already exists in {config.snapshot_dir} "
@@ -155,12 +153,6 @@ def cmd_ask(args: argparse.Namespace, config: Config) -> int:
     if not args.question.strip():
         print("error: the question is blank", file=sys.stderr)
         return EXIT_USAGE
-    if not snapshot_exists(config.snapshot_dir):
-        print(
-            f"error: no snapshot in {config.snapshot_dir}; run 'subhop index' first",
-            file=sys.stderr,
-        )
-        return EXIT_MISSING
     stores, embedder = _load_snapshot(config)
     gateway = build_gateway(config)
     question_id = question_id_for(args.question)
@@ -177,15 +169,6 @@ def cmd_ask(args: argparse.Namespace, config: Config) -> int:
 
 def cmd_eval(args: argparse.Namespace, config: Config) -> int:
     dataset_path = Path(args.dataset)
-    if not dataset_path.exists():
-        print(f"error: dataset not found: {dataset_path}", file=sys.stderr)
-        return EXIT_MISSING
-    if not snapshot_exists(config.snapshot_dir):
-        print(
-            f"error: no snapshot in {config.snapshot_dir}; run 'subhop index' first",
-            file=sys.stderr,
-        )
-        return EXIT_MISSING
     dataset = load_dataset(dataset_path, args.format)
     stores, embedder = _load_snapshot(config)
     gateway = build_gateway(config)
@@ -207,9 +190,6 @@ def cmd_eval(args: argparse.Namespace, config: Config) -> int:
 
 
 def cmd_graph(args: argparse.Namespace, config: Config) -> int:
-    if not snapshot_exists(config.snapshot_dir):
-        print(f"error: no snapshot in {config.snapshot_dir}", file=sys.stderr)
-        return EXIT_MISSING
     graph = load_graph(config.snapshot_dir)
     if args.graph_command == "stats":
         stats = graph.stats()
@@ -236,10 +216,6 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         config = _config_from_args(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         if args.command == "index":
             return cmd_index(args, config)
         if args.command == "ask":
@@ -252,8 +228,11 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:
-        print(f"error: missing file: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): not a pipeline error
+        return EXIT_OK
     except (SubhopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -261,7 +240,14 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; send what is left to devnull so that the
+        # interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 
-from .errors import LLM_FAILURES, MissingDependency
+from .errors import LLM_FAILURES
 from .gateway import ChatRequest, Gateway
 
 logger = logging.getLogger(__name__)
@@ -38,27 +38,6 @@ class DecompositionPlan:
 
     def __len__(self) -> int:
         return len(self.sub_questions)
-
-
-@dataclass
-class AnswerContext:
-    """Answers of already-resolved sub-questions, in order."""
-
-    answers: list[tuple[int, str]] = field(default_factory=list)
-
-    def add(self, index: int, answer: str) -> None:
-        if self.answers and index <= self.answers[-1][0]:
-            raise ValueError("answer indices must be strictly increasing")
-        self.answers.append((index, answer))
-
-    def get(self, index: int) -> str | None:
-        for i, answer in self.answers:
-            if i == index:
-                return answer
-        return None
-
-    def is_empty(self) -> bool:
-        return not self.answers
 
 
 def placeholder_refs(text: str) -> list[int]:
@@ -114,40 +93,41 @@ def decompose(question: str, gateway: Gateway,
         return single_question_plan(question, cap, warnings)
 
 
-def substitute_placeholders(sub_question: str, context: AnswerContext) -> str:
-    """Replace every ``#j`` with the j-th answer; missing answers are an
-    upstream ordering bug and abort the question."""
+def substitute_placeholders(sub_question: str, answers: list[str]) -> str:
+    """Replace each ``#j`` with ``answers[j - 1]``, the answer of step j.
+
+    Only a step that has answered resolves: a ``#j`` with j outside
+    1..len(answers) is text, as in a question that cites "the #1 hit".
+    """
     def _sub(match: re.Match[str]) -> str:
         index = int(match.group(1))
-        answer = context.get(index)
-        if answer is None:
-            raise MissingDependency(index)
-        return answer
+        return answers[index - 1] if 1 <= index <= len(answers) else match.group(0)
 
     return PLACEHOLDER_RE.sub(_sub, sub_question)
 
 
 def rewrite(
     sub_question: str,
-    context: AnswerContext,
+    answers: list[str],
     gateway: Gateway,
     enabled: bool = True,
     events: list[str] | None = None,
 ) -> str:
-    """Turn a raw sub-question into a self-contained one.
+    """Turn a raw sub-question into a self-contained one, given the answers
+    of the steps before it (step j's answer is ``answers[j - 1]``).
 
-    Placeholders are substituted literally first. A sub-question without
-    placeholders and with no prior answers is already self-contained and
-    returns unchanged with zero LLM calls. When ``enabled`` is false the
-    literal substitution is the final result (the rewrite ablation).
+    The first step (no answers yet) has nothing to substitute or smooth and
+    returns unchanged with zero LLM calls. Otherwise placeholders are
+    substituted literally first; when ``enabled`` is false that is the
+    final result (the rewrite ablation), else the LLM smooths it, and an
+    LLM failure or an output still holding a ``#j`` falls back to it.
     """
-    refs = placeholder_refs(sub_question)
-    substituted = substitute_placeholders(sub_question, context)
-    if not refs and context.is_empty():
+    if not answers:
         return sub_question
+    substituted = substitute_placeholders(sub_question, answers)
     if not enabled:
         return substituted
-    answers_block = "\n".join(f"#{i}: {answer}" for i, answer in context.answers) or "(none)"
+    answers_block = "\n".join(f"#{i}: {answer}" for i, answer in enumerate(answers, start=1))
     request = ChatRequest(
         "rewrite", {"question": substituted, "answers": answers_block}
     )

@@ -85,14 +85,6 @@ class StructuredParseError(SubhopError):
         self.raw = raw
 
 
-class MissingDependency(SubhopError):
-    """A sub-question references an answer that is not available yet."""
-
-    def __init__(self, index: int):
-        super().__init__(f"no answer available for placeholder #{index}")
-        self.index = index
-
-
 # LLM failures that degrade a step (UNKNOWN answer, single-step plan)
 # instead of aborting the question.
 LLM_FAILURES = (StructuredParseError, BackendError, StubExhausted)

@@ -16,15 +16,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .config import Config
-from .decompose import (
-    AnswerContext,
-    DecompositionPlan,
-    decompose,
-    rewrite,
-    single_question_plan,
-)
+from .decompose import DecompositionPlan, decompose, rewrite, single_question_plan
 from .embedders import Embedder
-from .errors import LLM_FAILURES, BudgetExceeded, EmptyField, MissingDependency
+from .errors import LLM_FAILURES, BudgetExceeded, EmptyField
 from .gateway import ChatRequest, Gateway
 from .indexer import DEFAULT_CHAR_BUDGET, TripleRow, extract_triples, passage_text
 from .kg import KnowledgeGraph, Triple
@@ -293,9 +287,10 @@ def solve(
 ) -> QuestionTrace:
     """Run the full loop for one question and return its trace.
 
-    Budget exhaustion and dependency-ordering bugs do not raise: they
-    produce a partial trace with status ``budget_exceeded`` / ``aborted``
-    and the UNKNOWN final answer.
+    Steps run in plan order; each step's answer is appended to the list
+    its successors' ``#j`` placeholders resolve against. Budget exhaustion
+    does not raise: it produces a partial trace with status
+    ``budget_exceeded`` and the UNKNOWN final answer.
     """
     gw = gateway.with_budget(config.llm_budget)
     trace = QuestionTrace(question_id=question_id, question=question)
@@ -310,35 +305,33 @@ def solve(
             if plan.degraded:
                 trace.events.append("decompose:degraded")
 
-            context = AnswerContext()
+            answers: list[str] = []
             for index, sub_question in enumerate(plan.sub_questions, start=1):
                 sub = _solve_step(
-                    index, sub_question, context, question_id, config, stores, gw, embedder
+                    index, sub_question, answers, question_id, config, stores, gw, embedder
                 )
                 trace.sub_answers.append(sub)
-                context.add(index, sub.answer)
+                answers.append(sub.answer)
         finally:
             # the memory of the steps that ran, whether or not every step did
             with stores.lock.read():
                 trace.memory = assemble_graph_memory(trace.sub_answers, stores.graph)
         trace.final_answer = generate_final_answer(question, trace.memory, gw)
-    except (BudgetExceeded, MissingDependency) as exc:
-        budget = isinstance(exc, BudgetExceeded)
-        trace.status = "budget_exceeded" if budget else "aborted"
+    except BudgetExceeded as exc:
+        trace.status = "budget_exceeded"
         trace.error = str(exc)
         trace.final_answer = UNKNOWN_ANSWER
-        trace.events.append("budget:exceeded" if budget else "dependency:missing")
-    if gw.budget is not None:
-        trace.llm_calls = gw.budget.calls
-        trace.prompt_tokens = gw.budget.prompt_tokens
-        trace.completion_tokens = gw.budget.completion_tokens
+        trace.events.append("budget:exceeded")
+    trace.llm_calls = gw.budget.calls
+    trace.prompt_tokens = gw.budget.prompt_tokens
+    trace.completion_tokens = gw.budget.completion_tokens
     return trace
 
 
 def _solve_step(
     index: int,
     sub_question: str,
-    context: AnswerContext,
+    answers: list[str],
     question_id: str,
     config: Config,
     stores: Stores,
@@ -346,7 +339,7 @@ def _solve_step(
     embedder: Embedder,
 ) -> SubAnswer:
     events: list[str] = []
-    rewritten = rewrite(sub_question, context, gw, enabled=config.rewriting, events=events)
+    rewritten = rewrite(sub_question, answers, gw, enabled=config.rewriting, events=events)
 
     hits, candidates = retrieve_for_subquestion(rewritten, stores, config.k_triples, embedder)
     answerable, answer, used = answer_from_triples(rewritten, candidates, gw, events=events)
@@ -480,7 +473,7 @@ def validate_trace_dict(data: dict) -> None:
     _need(data.get("schema") == TRACE_SCHEMA, "bad schema tag")
     for key in ("question_id", "question", "status", "final_answer"):
         _need(isinstance(data.get(key), str), f"{key} must be a string")
-    _need(data["status"] in ("ok", "budget_exceeded", "aborted"), "unknown status")
+    _need(data["status"] in ("ok", "budget_exceeded"), "unknown status")
     plan = data.get("plan")
     _need(plan is None or isinstance(plan, dict), "plan must be object or null")
     if isinstance(plan, dict):
@@ -491,7 +484,7 @@ def validate_trace_dict(data: dict) -> None:
     subs = data.get("sub_answers")
     _need(isinstance(subs, list), "sub_answers must be a list")
     if data["status"] == "ok" and isinstance(plan, dict):
-        _need(len(subs) == len(plan["sub_questions"]), "incomplete sub_answers without abort")
+        _need(len(subs) == len(plan["sub_questions"]), "incomplete sub_answers in an ok trace")
     for sub in subs:
         _need(isinstance(sub, dict), "sub answer must be object")
         _need(isinstance(sub.get("index"), int), "sub answer needs index")

@@ -130,7 +130,10 @@ def save_stores(
 
 
 def load_manifest(snapshot_dir: str | Path) -> dict:
-    return read_json(Path(snapshot_dir) / MANIFEST_FILE, dict)
+    path = Path(snapshot_dir) / MANIFEST_FILE
+    if not path.exists():
+        raise FileNotFoundError(f"no snapshot in {snapshot_dir}; run 'subhop index' first")
+    return read_json(path, dict)
 
 
 def _check_count(what: str, found: int, recorded: object) -> None:

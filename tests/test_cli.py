@@ -1,9 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import subhop
 from subhop.cli import _config_from_args, build_parser, run
 from subhop.config import load_config
 from subhop.errors import ConfigError
@@ -122,6 +127,21 @@ def test_ask_missing_snapshot_exits_3(env, capsys):
     code = run(base_args(env, "ask_script") + ["ask", "anything?"])
     assert code == 3
     assert "index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--no-decomposition"]])
+def test_ask_question_citing_a_number(env, capsys, extra):
+    assert do_index(env) == 0
+    write_script(env["ask_script"], [
+        rule("decompose", ["Who sang the #1 hit of 1999?"]),
+        rule("answer_from_triples",
+             {"answerable": True, "answer": "Prince", "used_triple_ids": [0]}),
+        rule("final_answer", "Prince"),
+    ])
+    capsys.readouterr()
+    code = run(base_args(env, "ask_script") + extra + ["ask", "Who sang the #1 hit of 1999?"])
+    assert code == 0
+    assert capsys.readouterr().out == "Prince\n"
 
 
 def _eval_fixture(env):
@@ -243,6 +263,26 @@ def test_graph_export_edgelist(env, capsys):
     assert len(lines) == 3
     assert lines[0] == "Inception\tdirected by\tChristopher Nolan"
     assert all(line.count("\t") == 2 for line in lines)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_reader_closing_stdout_early_exits_0_quietly(env, unbuffered):
+    # like ``subhop graph export | head -c 10``, but the reader is gone
+    # before the child writes its first byte
+    assert do_index(env) == 0
+    child_env = dict(os.environ, PYTHONPATH=str(Path(subhop.__file__).parents[1]))
+    child_env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        child_env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "subhop.cli", "--snapshot-dir", str(env["snapshot"]),
+         "graph", "export"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env,
+    )
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_graph_missing_snapshot_exits_3(env):

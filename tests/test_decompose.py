@@ -4,7 +4,6 @@ import string
 import pytest
 
 from subhop.decompose import (
-    AnswerContext,
     DecompositionPlan,
     decompose,
     placeholder_refs,
@@ -12,17 +11,9 @@ from subhop.decompose import (
     single_question_plan,
     substitute_placeholders,
 )
-from subhop.errors import MissingDependency
 from subhop.stub import rule
 
 from helpers import stub_gateway
-
-
-def ctx(*pairs):
-    context = AnswerContext()
-    for index, answer in pairs:
-        context.add(index, answer)
-    return context
 
 
 def test_decompose_two_hop_plan():
@@ -81,7 +72,7 @@ def test_decompose_rejects_empty_question():
 
 def test_rewrite_substitutes_and_smooths():
     gw = stub_gateway([rule("rewrite", "Who is the spouse of Christopher Nolan?")])
-    out = rewrite("Who is the spouse of #1?", ctx((1, "Christopher Nolan")), gw)
+    out = rewrite("Who is the spouse of #1?", ["Christopher Nolan"], gw)
     assert out == "Who is the spouse of Christopher Nolan?"
     # the prompt carried the literal substitution
     assert "spouse of Christopher Nolan" in gw.backend.log[0]["prompt"]
@@ -89,20 +80,20 @@ def test_rewrite_substitutes_and_smooths():
 
 def test_rewrite_identity_without_placeholders_or_context():
     gw = stub_gateway([])  # any LLM call would raise StubExhausted
-    assert rewrite("Who directed Inception?", ctx(), gw) == "Who directed Inception?"
-    assert gw.backend.log == []
+    events = []
+    assert rewrite("Who directed Inception?", [], gw, events=events) == "Who directed Inception?"
+    assert gw.backend.log == [] and events == []
 
 
-def test_rewrite_missing_dependency():
+def test_rewrite_leaves_unanswered_placeholder_as_text():
     gw = stub_gateway([])
-    with pytest.raises(MissingDependency) as exc:
-        rewrite("Who is the spouse of #2?", ctx((1, "X")), gw)
-    assert exc.value.index == 2
+    assert rewrite("Spouse of #2?", ["X"], gw, enabled=False) == "Spouse of #2?"
+    assert gw.backend.log == []
 
 
 def test_rewrite_with_context_but_no_placeholder_still_calls_llm():
     gw = stub_gateway([rule("rewrite", "Standalone question about Nolan?")])
-    out = rewrite("And their spouse?", ctx((1, "Christopher Nolan")), gw)
+    out = rewrite("And their spouse?", ["Christopher Nolan"], gw)
     assert out == "Standalone question about Nolan?"
     assert len(gw.backend.log) == 1
 
@@ -110,21 +101,21 @@ def test_rewrite_with_context_but_no_placeholder_still_calls_llm():
 def test_rewrite_llm_failure_returns_substitution():
     gw = stub_gateway([])  # exhausted stub = LLM failure
     events = []
-    out = rewrite("Spouse of #1?", ctx((1, "Nolan")), gw, events=events)
+    out = rewrite("Spouse of #1?", ["Nolan"], gw, events=events)
     assert out == "Spouse of Nolan?"
     assert events == ["rewrite:llm_failure"]
 
 
 def test_rewrite_disabled_is_literal_substitution_only():
     gw = stub_gateway([])
-    out = rewrite("Spouse of #1?", ctx((1, "Nolan")), gw, enabled=False)
+    out = rewrite("Spouse of #1?", ["Nolan"], gw, enabled=False)
     assert out == "Spouse of Nolan?"
     assert gw.backend.log == []
 
 
 def test_rewrite_output_with_leftover_placeholder_falls_back():
     gw = stub_gateway([rule("rewrite", "Still talking about #1?")])
-    out = rewrite("Spouse of #1?", ctx((1, "Nolan")), gw)
+    out = rewrite("Spouse of #1?", ["Nolan"], gw)
     assert out == "Spouse of Nolan?"
 
 
@@ -132,33 +123,34 @@ def test_rewrite_empty_context_is_identity_property():
     rng = random.Random(13)
     gw = stub_gateway([])
     for _ in range(50):
-        text = "".join(rng.choice(string.ascii_letters + " ?") for _ in range(20))
-        if placeholder_refs(text):
-            continue
-        assert rewrite(text, ctx(), gw) == text
+        chars = [rng.choice(string.ascii_letters + string.digits + " ?#") for _ in range(20)]
+        if rng.random() < 0.5:
+            chars.insert(rng.randrange(21), f"#{rng.randint(0, 12)}")
+        text = "".join(chars)
+        events = []
+        assert rewrite(text, [], gw, events=events) == text
+        assert events == []  # no failed call to the exhausted stub either
+    assert gw.backend.log == []
 
 
 def test_rewritten_output_never_contains_placeholders_property():
     rng = random.Random(14)
     for _ in range(30):
         refs = sorted(rng.sample(range(1, 6), k=rng.randint(1, 3)))
-        context = ctx(*[(i, f"answer{i}") for i in range(1, max(refs) + 1)])
+        answers = [f"answer{i}" for i in range(1, max(refs) + 1)]
         question = "what about " + " and ".join(f"#{j}" for j in refs) + "?"
-        out = rewrite(question, context, stub_gateway([]), enabled=True)
+        out = rewrite(question, answers, stub_gateway([]), enabled=True)
         assert not placeholder_refs(out)
 
 
 def test_substitute_multi_digit_placeholder():
-    context = ctx(*[(i, f"a{i}") for i in range(1, 13)])
-    assert substitute_placeholders("x #12 y #1", context) == "x a12 y a1"
+    answers = [f"a{i}" for i in range(1, 13)]
+    assert substitute_placeholders("x #12 y #1", answers) == "x a12 y a1"
 
 
-def test_answer_context_ordering_enforced():
-    context = ctx((1, "a"), (2, "b"))
-    with pytest.raises(ValueError):
-        context.add(2, "again")
-    assert context.get(2) == "b"
-    assert context.get(5) is None
+def test_substitute_resolves_only_answered_steps():
+    assert substitute_placeholders("#0 #1 #2 #10", ["a"]) == "#0 a #2 #10"
+    assert substitute_placeholders("the #1 hit", []) == "the #1 hit"
 
 
 def test_plan_dataclass_shape():

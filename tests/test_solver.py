@@ -426,6 +426,31 @@ def test_solve_single_hop_from_graph(tmp_path):
     assert trace.llm_calls == 3
 
 
+HIT_QUESTION = "Who sang the #1 hit of 1999?"
+
+
+@pytest.mark.parametrize("decomposition", [False, True])
+def test_solve_question_citing_a_number_is_text(tmp_path, decomposition):
+    # with decomposition on, the stub's plan keeps "#1" in step 1
+    world = build_two_hop_world(tmp_path, decomposition=decomposition)
+    world.embedder.add(HIT_QUESTION, basis_vector(0, 8))
+    plan = [rule("decompose", [HIT_QUESTION])] if decomposition else []
+    gw = world.ask_gateway(plan + [
+        rule("answer_from_triples",
+             {"answerable": True, "answer": "Prince", "used_triple_ids": [0]}),
+        rule("final_answer", "Prince"),
+    ])
+    trace = solve("q-hit", HIT_QUESTION, world.config, world.stores, gw, world.embedder)
+    assert trace.status == "ok"
+    assert "dependency:missing" not in trace.events
+    assert trace.sub_answers[0].rewritten_question == HIT_QUESTION
+    assert "rewrite" not in [entry["template"] for entry in gw.backend.log]
+    assert trace.sub_answers[0].events == []
+    assert trace.llm_calls == len(gw.backend.log) == 2 + decomposition
+    assert trace.final_answer == "Prince"
+    validate_trace_dict(trace_to_dict(trace))
+
+
 def test_solve_budget_exceeded_partial_trace(tmp_path):
     world = build_two_hop_world(tmp_path, llm_budget=2)
     gw = world.ask_gateway(two_hop_ask_rules())
