@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
+from typing import Collection
 
 from .errors import LLM_FAILURES
 from .gateway import ChatRequest, Gateway
@@ -60,8 +61,9 @@ def decompose(question: str, gateway: Gateway,
     """Ask the LLM for an ordered sub-question chain.
 
     Output is validated (strings only, backward placeholder references)
-    and truncated to the cap. Any parse or validation failure degrades to
-    the single original question with a recorded warning.
+    and truncated to the cap; a ``#j`` the question holds ("the #1 hit")
+    is text. Any parse or validation failure degrades to the single
+    original question with a recorded warning.
     """
     question = question.strip()
     if not question:
@@ -70,6 +72,7 @@ def decompose(question: str, gateway: Gateway,
         "decompose", {"question": question, "max_subquestions": cap}
     )
     warnings: list[str] = []
+    text_refs = set(placeholder_refs(question))
     try:
         raw = gateway.complete_structured(request, expect="array")
         subs = [item.strip() for item in raw if isinstance(item, str) and item.strip()]
@@ -81,7 +84,7 @@ def decompose(question: str, gateway: Gateway,
             warnings.append("decompose:truncated")
         for position, sub in enumerate(subs):
             for ref in placeholder_refs(sub):
-                if ref < 1 or ref > position:
+                if ref not in text_refs and not 1 <= ref <= position:
                     raise _PlanInvalid(
                         f"step {position + 1} references #{ref}, which is not an "
                         "earlier step"
@@ -112,6 +115,7 @@ def rewrite(
     gateway: Gateway,
     enabled: bool = True,
     events: list[str] | None = None,
+    text_refs: Collection[int] = (),
 ) -> str:
     """Turn a raw sub-question into a self-contained one, given the answers
     of the steps before it (step j's answer is ``answers[j - 1]``).
@@ -120,7 +124,8 @@ def rewrite(
     returns unchanged with zero LLM calls. Otherwise placeholders are
     substituted literally first; when ``enabled`` is false that is the
     final result (the rewrite ablation), else the LLM smooths it, and an
-    LLM failure or an output still holding a ``#j`` falls back to it.
+    LLM failure or an output still holding a ``#j`` outside ``text_refs``
+    (the refs the user's question holds, which are text) falls back to it.
     """
     if not answers:
         return sub_question
@@ -139,7 +144,7 @@ def rewrite(
             events.append("rewrite:llm_failure")
         return substituted
     rewritten = response.text.strip().strip('"')
-    if not rewritten or PLACEHOLDER_RE.search(rewritten):
+    if not rewritten or set(placeholder_refs(rewritten)) - set(text_refs):
         logger.warning("rewrite output unusable, using literal substitution")
         if events is not None:
             events.append("rewrite:unusable_output")

@@ -38,16 +38,15 @@ class Document:
 @dataclass
 class Corpus:
     documents: list[Document]
-    id_index: dict[str, int]
 
     @classmethod
     def from_documents(cls, documents: list[Document]) -> "Corpus":
-        id_index: dict[str, int] = {}
-        for pos, doc in enumerate(documents):
-            if doc.id in id_index:
+        seen: set[str] = set()
+        for doc in documents:
+            if doc.id in seen:
                 raise DuplicateDocId(doc.id)
-            id_index[doc.id] = pos
-        return cls(documents=documents, id_index=id_index)
+            seen.add(doc.id)
+        return cls(documents=documents)
 
     def __len__(self) -> int:
         return len(self.documents)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .config import Config
-from .decompose import DecompositionPlan, decompose, rewrite, single_question_plan
+from .decompose import DecompositionPlan, decompose, placeholder_refs, rewrite, single_question_plan
 from .embedders import Embedder
 from .errors import LLM_FAILURES, BudgetExceeded, EmptyField
 from .gateway import ChatRequest, Gateway
@@ -63,9 +63,6 @@ class GraphMemory:
     def ids(self) -> list[int]:
         return [t.id for _, t in self.entries]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 @dataclass
 class QuestionTrace:
@@ -86,12 +83,13 @@ class QuestionTrace:
 def retrieve_for_subquestion(
     question: str, stores: Stores, k: int, embedder: Embedder
 ) -> tuple[list[tuple[int, float]], list[tuple[Triple, float]]]:
-    """Exact top-k triples for a rewritten sub-question, read under the
-    store lock: the ``(id, score)`` hits and their ``(Triple, score)``
-    candidates. An empty index yields two empty lists."""
-    with stores.lock.read():
-        hits = stores.triple_index.top_k(question, k, embedder)
-        return hits, [(stores.graph.lookup(tid), score) for tid, score in hits]
+    """Exact top-k triples for a rewritten sub-question, read without a
+    lock: the ``(id, score)`` hits and their ``(Triple, score)``
+    candidates. An empty index yields two empty lists. Only the first
+    ``len(stores.graph)`` rows are scored: a write-back appends the index
+    row before the graph triple, so every hit is in the graph."""
+    hits = stores.triple_index.top_k(question, k, embedder, rows=len(stores.graph))
+    return hits, [(stores.graph.lookup(tid), score) for tid, score in hits]
 
 
 def render_candidates(candidates: list[tuple[Triple, float]]) -> str:
@@ -169,8 +167,7 @@ def fallback_answer_from_docs(
             events.append("fallback:empty_corpus")
         event.document_answer = UNKNOWN_ANSWER
         return UNKNOWN_ANSWER, event
-    with stores.lock.read():
-        hits = stores.passage_index.top_k(question, k_docs, embedder)
+    hits = stores.passage_index.top_k(question, k_docs, embedder)
     docs = [stores.corpus.documents[key] for key, _ in hits]
     event.retrieved_doc_ids = [doc.id for doc in docs]
     doc_block = "\n\n".join(f"[{doc.id}] {passage_text(doc)}" for doc in docs)
@@ -204,8 +201,9 @@ def update_graph_with_new_triples(
     embedder: Embedder,
 ) -> FallbackEvent:
     """Write validated fallback triples into the graph and the triple
-    index, under the stores' writer lock. Duplicates are silently skipped;
-    only genuinely new ids land in ``written_back_ids``.
+    index, holding ``stores.write_lock``, so write-backs run one at a time
+    while retrievals go on without a lock. Duplicates are silently
+    skipped; only genuinely new ids land in ``written_back_ids``.
 
     Raises ValueError, writing nothing, unless the graph and the triple
     index hold as many rows, as they must for a triple's id to be its
@@ -214,7 +212,7 @@ def update_graph_with_new_triples(
     embedder leaves no graph triple without its index row.
     """
     event.written_back_ids = []
-    with stores.lock.write():
+    with stores.write_lock:
         graph, triple_index = stores.graph, stores.triple_index
         if len(graph) != len(triple_index):
             raise ValueError(
@@ -306,16 +304,15 @@ def solve(
                 trace.events.append("decompose:degraded")
 
             answers: list[str] = []
+            text_refs = set(placeholder_refs(question))
             for index, sub_question in enumerate(plan.sub_questions, start=1):
-                sub = _solve_step(
-                    index, sub_question, answers, question_id, config, stores, gw, embedder
-                )
+                sub = _solve_step(index, sub_question, answers, text_refs,
+                                  question_id, config, stores, gw, embedder)
                 trace.sub_answers.append(sub)
                 answers.append(sub.answer)
         finally:
             # the memory of the steps that ran, whether or not every step did
-            with stores.lock.read():
-                trace.memory = assemble_graph_memory(trace.sub_answers, stores.graph)
+            trace.memory = assemble_graph_memory(trace.sub_answers, stores.graph)
         trace.final_answer = generate_final_answer(question, trace.memory, gw)
     except BudgetExceeded as exc:
         trace.status = "budget_exceeded"
@@ -332,6 +329,7 @@ def _solve_step(
     index: int,
     sub_question: str,
     answers: list[str],
+    text_refs: set[int],
     question_id: str,
     config: Config,
     stores: Stores,
@@ -339,7 +337,8 @@ def _solve_step(
     embedder: Embedder,
 ) -> SubAnswer:
     events: list[str] = []
-    rewritten = rewrite(sub_question, answers, gw, enabled=config.rewriting, events=events)
+    rewritten = rewrite(sub_question, answers, gw, enabled=config.rewriting, events=events,
+                        text_refs=text_refs)
 
     hits, candidates = retrieve_for_subquestion(rewritten, stores, config.k_triples, embedder)
     answerable, answer, used = answer_from_triples(rewritten, candidates, gw, events=events)

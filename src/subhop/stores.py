@@ -1,8 +1,9 @@
-"""Pipeline store bundle: graph, both vector indexes, corpus, one lock.
+"""Pipeline store bundle: graph, both vector indexes, corpus, write lock.
 
-Write-backs touch the graph and the triple index together, so a single
-reader-writer lock covers both: many concurrent readers or exactly one
-writer.
+Retrievals take no lock: the graph and the indexes are append-only, and
+a reader sees a consistent prefix of each (see ``VectorIndex``).
+Write-backs touch the graph and the triple index together, so they take
+``write_lock`` one at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import os
 import shutil
 import tempfile
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,49 +31,13 @@ MANIFEST_FILE = "manifest.json"
 SNAPSHOT_FILES = (GRAPH_FILE, MANIFEST_FILE)
 
 
-class ReadWriteLock:
-    """Many readers or one writer; writers wait for readers to drain."""
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writing = False
-
-    @contextmanager
-    def read(self):
-        with self._cond:
-            while self._writing:
-                self._cond.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._readers -= 1
-                if self._readers == 0:
-                    self._cond.notify_all()
-
-    @contextmanager
-    def write(self):
-        with self._cond:
-            while self._writing or self._readers > 0:
-                self._cond.wait()
-            self._writing = True
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._writing = False
-                self._cond.notify_all()
-
-
 @dataclass
 class Stores:
     graph: KnowledgeGraph
     triple_index: VectorIndex
     passage_index: VectorIndex
     corpus: Corpus
-    lock: ReadWriteLock = field(default_factory=ReadWriteLock)
+    write_lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 def _file_sha256(path: str | Path) -> str:

@@ -69,10 +69,7 @@ class TemplateRegistry:
         if missing:
             raise TemplateError(f"template {name!r} missing bindings for {missing}")
 
-        def _sub(match: re.Match[str]) -> str:
-            token = match.group(1)
-            if token in needed:
-                return str(variables[token])
-            return match.group(0)
-
-        return _PLACEHOLDER_RE.sub(_sub, self._templates[name])
+        # every token the regex finds is in ``needed``, found by the same regex
+        return _PLACEHOLDER_RE.sub(
+            lambda match: str(variables[match.group(1)]), self._templates[name]
+        )

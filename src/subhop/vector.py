@@ -70,10 +70,11 @@ class VectorIndex:
     ascending numbers of the rows that are nonzero in that column and
     their weights. Row norms sit in one more array. An array that is full
     is replaced by a copy of twice the capacity, so appending never
-    invalidates anything. Writers fill an entry before its posting's fill
-    count moves, and write every posting and the norm of a row before the
-    row count moves; a reader takes the row count first and each fill
-    count before its posting, and ignores rows at or beyond its count.
+    invalidates anything. Readers take no lock, beside at most one writer
+    at a time: the writer fills an entry before its posting's fill count
+    moves, and writes every posting and the norm of a row before the row
+    count moves; a reader takes the row count first and each fill count
+    before its posting, and ignores rows at or beyond its count.
     """
 
     def __init__(self, dimension: int):
@@ -164,15 +165,20 @@ class VectorIndex:
         gathered[1] *= np.repeat(query.weights, fills)
         return gathered
 
-    def top_k(self, query_text: str, k: int, embedder: Embedder) -> list[tuple[int, float]]:
-        """Exact top-k by cosine score, descending, ties by ascending key.
+    def top_k(
+        self, query_text: str, k: int, embedder: Embedder, rows: int | None = None
+    ) -> list[tuple[int, float]]:
+        """Exact top-k by cosine score, descending, ties by ascending key,
+        over the first ``min(rows, len(self))`` rows (all if ``rows`` is
+        None). Takes no lock; a reader that resolves keys in another store
+        passes that store's length, which a write-back grows last.
 
         Returns min(k, size) results; an empty index yields [] rather
         than an error.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        n = self._n
+        n = self._n if rows is None else min(rows, self._n)
         if n == 0:
             return []
         self._check_embedder(embedder)

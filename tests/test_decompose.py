@@ -58,6 +58,26 @@ def test_parse_failure_degrades_with_warning():
     assert plan.degraded
 
 
+HIT_QUESTION = "Who sang the #1 hit of 1999?"
+
+
+@pytest.mark.parametrize("steps", [
+    [HIT_QUESTION],
+    ["Which song was the #1 hit of 1999?", "Who sang #1?"],
+], ids=["one-step", "two-step"])
+def test_a_ref_the_question_holds_is_text_in_the_plan(steps):
+    plan = decompose(HIT_QUESTION, stub_gateway([rule("decompose", steps)]))
+    assert plan.sub_questions == steps
+    assert not plan.degraded and plan.warnings == []
+
+
+def test_a_forward_ref_the_question_does_not_hold_still_degrades():
+    steps = ["Which song was the #1 hit of 1999?", "Who sang #3?"]
+    plan = decompose(HIT_QUESTION, stub_gateway([rule("decompose", steps)]))
+    assert plan.sub_questions == [HIT_QUESTION]
+    assert plan.degraded and "decompose:degraded" in plan.warnings
+
+
 def test_single_element_plan_is_valid():
     gw = stub_gateway([rule("decompose", ["Simple question?"])])
     plan = decompose("Simple question?", gw)
@@ -117,6 +137,16 @@ def test_rewrite_output_with_leftover_placeholder_falls_back():
     gw = stub_gateway([rule("rewrite", "Still talking about #1?")])
     out = rewrite("Spouse of #1?", ["Nolan"], gw)
     assert out == "Spouse of Nolan?"
+
+
+@pytest.mark.parametrize("text_refs, accepted", [({1}, True), (set(), False), ({2}, False)])
+def test_rewrite_output_keeps_only_refs_the_question_holds(text_refs, accepted):
+    smoothed = "Who wrote the #1 hit Believe?"
+    gw = stub_gateway([rule("rewrite", smoothed)])
+    events = []
+    out = rewrite("Who wrote #1?", ["Believe"], gw, events=events, text_refs=text_refs)
+    assert out == (smoothed if accepted else "Who wrote Believe?")
+    assert events == ([] if accepted else ["rewrite:unusable_output"])
 
 
 def test_rewrite_empty_context_is_identity_property():

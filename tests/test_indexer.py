@@ -27,7 +27,7 @@ def test_ingest_three_lines_in_order(tmp_path):
     ])
     corpus = ingest_corpus(path)
     assert [d.id for d in corpus.documents] == ["a", "b", "c"]
-    assert corpus.id_index == {"a": 0, "b": 1, "c": 2}
+    assert [d.text for d in corpus.documents] == ["text a", "text b", "text c"]
 
 
 def test_ingest_missing_text_reports_line(tmp_path):
@@ -176,7 +176,7 @@ def test_index_keys_equal_graph_ids():
     assert list(passage_index.entries()) == [(0, "one"), (1, "two")]
     for t in graph:
         assert t.provenance.startswith("doc:")
-        assert t.provenance.removeprefix("doc:") in corpus.id_index
+        assert t.provenance.removeprefix("doc:") in {d.id for d in corpus.documents}
 
 
 def test_rebuild_is_deterministic():

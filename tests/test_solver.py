@@ -179,7 +179,8 @@ def test_fallback_extracts_the_document_block_per_chunk(tmp_path):
         return prompts, event.retrieved_doc_ids
 
     whole, doc_ids = extract_prompts()
-    documents = [world.stores.corpus.documents[world.stores.corpus.id_index[d]] for d in doc_ids]
+    by_id = {d.id: d for d in world.stores.corpus.documents}
+    documents = [by_id[d] for d in doc_ids]
     doc_block = "\n\n".join(f"[{d.id}] {d.title}\n{d.text}" for d in documents)
     # within the budget the block goes out whole, as one request
     assert whole == [REGISTRY.render("extract_triples", {"document": doc_block})]
@@ -449,6 +450,29 @@ def test_solve_question_citing_a_number_is_text(tmp_path, decomposition):
     assert trace.llm_calls == len(gw.backend.log) == 2 + decomposition
     assert trace.final_answer == "Prince"
     validate_trace_dict(trace_to_dict(trace))
+
+
+def test_solve_keeps_a_ref_the_question_holds_as_text(tmp_path):
+    world = build_two_hop_world(tmp_path)
+    steps = ["Which song was the #1 hit of 1999?", "Who wrote #1?"]
+    smoothed = "Who wrote the #1 hit Believe?"
+    for text in (steps[0], smoothed):
+        world.embedder.add(text, basis_vector(0, 8))
+    gw = world.ask_gateway([
+        rule("decompose", steps),
+        rule("answer_from_triples",
+             {"answerable": True, "answer": "Believe", "used_triple_ids": [0]}),
+        rule("rewrite", smoothed),
+        rule("answer_from_triples",
+             {"answerable": True, "answer": "Cher", "used_triple_ids": [0]}),
+        rule("final_answer", "Cher"),
+    ])
+    trace = solve("q-hit", HIT_QUESTION, world.config, world.stores, gw, world.embedder)
+    assert trace.status == "ok" and trace.events == []
+    assert trace.plan.sub_questions == steps
+    assert [sub.rewritten_question for sub in trace.sub_answers] == [steps[0], smoothed]
+    assert [sub.events for sub in trace.sub_answers] == [[], []]
+    assert trace.final_answer == "Cher"
 
 
 def test_solve_budget_exceeded_partial_trace(tmp_path):

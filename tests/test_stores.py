@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,14 @@ from subhop.embedders import FixtureEmbedder, HashedBagEmbedder
 from subhop.errors import EmbedderMismatch, ParseError
 from subhop.indexer import Corpus
 from subhop.kg import KnowledgeGraph
-from subhop.solver import solve
+from subhop.solver import (
+    FallbackEvent,
+    retrieve_for_subquestion,
+    solve,
+    trace_to_dict,
+    update_graph_with_new_triples,
+    validate_trace_dict,
+)
 from subhop.stores import (
     GRAPH_FILE,
     MANIFEST_FILE,
@@ -73,17 +81,15 @@ def test_readers_get_exact_scores_while_a_writer_grows_the_index():
         try:
             for i in range(5, 3000):  # crosses every capacity from 16 to 2048 rows
                 texts[i] = text_of(i)
-                with stores.lock.write():
-                    append_row(index, texts[i], embedder)
+                append_row(index, texts[i], embedder)
         finally:
             done.set()
 
     def reader(slot: int) -> None:
         query = embedder.embed(queries[slot])
         while not done.is_set() or reads[slot] == 0:
-            with stores.lock.read():
-                size = len(index)
-                result = index.top_k(queries[slot], 5, embedder)
+            size = len(index)
+            result = index.top_k(queries[slot], 5, embedder)
             reads[slot] += 1
             if len(result) != min(5, size):
                 failures.append(f"{len(result)} results from {size} rows")
@@ -110,6 +116,108 @@ def test_readers_get_exact_scores_while_a_writer_grows_the_index():
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     assert len(index) == 3000 and all(count > 0 for count in reads)
+
+
+class SlowInsertGraph(KnowledgeGraph):
+    """A graph that sleeps before every 16th insert, so readers run between
+    a write-back's index row and its graph triple."""
+
+    def insert(self, *args, **kwargs):
+        if len(self) % 16 == 0:
+            time.sleep(1e-4)
+        return super().insert(*args, **kwargs)
+
+
+def test_write_backs_race_lock_free_retrievals():
+    """Two writers append through ``update_graph_with_new_triples`` while
+    three readers retrieve without a lock: every hit resolves in the graph,
+    and the graph and the index end at the same length."""
+    embedder = HashedBagEmbedder(dimension=32)
+    stores = Stores(
+        graph=SlowInsertGraph(),
+        triple_index=VectorIndex(dimension=32),
+        passage_index=VectorIndex(dimension=32),
+        corpus=Corpus.from_documents([]),
+    )
+    calls = 1500
+    queries = ["alpha knows beta 3", "gamma near delta 1", "beta 7 knows"]
+    failures: list[str] = []
+    reads = [0] * len(queries)
+    done = threading.Event()
+
+    def writer(w: int) -> None:
+        try:
+            for i in range(calls):
+                event = FallbackEvent(new_triples=[
+                    (f"alpha {w} {i}", "knows", f"beta {i % 9}"),
+                    (f"gamma {w} {i}", "near", f"delta {i % 5}"),
+                ])
+                update_graph_with_new_triples(stores, event, f"q{w}", 1, embedder)
+                if len(event.written_back_ids) != 2:
+                    failures.append(f"writer {w} wrote {event.written_back_ids}")
+        except Exception as exc:
+            failures.append(f"writer {w}: {exc!r}")
+
+    def reader(slot: int) -> None:
+        try:
+            while not done.is_set() or reads[slot] == 0:
+                hits, candidates = retrieve_for_subquestion(queries[slot], stores, 5, embedder)
+                reads[slot] += 1
+                if [t.id for t, _ in candidates] != [tid for tid, _ in hits]:
+                    failures.append(f"candidates {candidates} for hits {hits}")
+        except Exception as exc:
+            failures.append(f"reader {slot}: {exc!r}")
+
+    writers = [threading.Thread(target=writer, args=(w,)) for w in range(2)]
+    readers = [threading.Thread(target=reader, args=(s,)) for s in range(len(queries))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in readers + writers:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=120)
+        done.set()
+        for thread in readers:
+            thread.join(timeout=120)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in readers + writers)
+    assert failures == []
+    assert len(stores.graph) == len(stores.triple_index) == 2 * calls * 2
+    assert all(count > 0 for count in reads)
+
+
+def test_parallel_eval_keeps_the_store_contract(tmp_path):
+    """The 20-question fixture at the default parallelism, several times:
+    no question fails, every trace is valid, and every write-back's row
+    and triple both land."""
+    fixture = build_benchmark_fixture(n=20, fallback_every=4)
+    dataset = [QAExample(r["id"], r["question"], r["answers"]) for r in fixture.dataset_records]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for run in range(10):
+            world = build_benchmark_world(tmp_path / f"run{run}", fixture, parallelism=4)
+            gateway = stub_gateway(fresh_rules(fixture.ask_rules))
+            traces = []
+
+            def solve_fn(example):
+                trace = solve(example.id, example.question, world.config, world.stores,
+                              gateway, world.embedder)
+                traces.append(trace)
+                return trace
+
+            report = run_benchmark(dataset, solve_fn, parallelism=world.config.parallelism)
+            assert not any(result.failed for result in report.per_example)
+            assert len(traces) == len(dataset)
+            for trace in traces:
+                validate_trace_dict(trace_to_dict(trace))
+            assert len(world.stores.graph) == len(world.stores.triple_index)
+            assert sum(t.is_dynamic for t in world.stores.graph) == len(fixture.fallback_indices)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- snapshot consistency ------------------------------------------------------

@@ -291,6 +291,22 @@ def test_top_k_exact_across_growth():
     assert len(index) == len(live) == 700
 
 
+def test_top_k_over_the_first_rows_matches_the_oracle_over_them():
+    rng = np.random.default_rng(10)
+    vectors = tie_heavy_vectors(rng, 200)
+    embedder = FixtureEmbedder({}, default=[0.0] * 4)
+    index = VectorIndex(dimension=4)
+    fill(index, embedder, vectors)
+    for trial in range(20):
+        query = rng.integers(-1, 2, size=4).astype(np.float64)
+        embedder.add(f"q{trial}", query.tolist())
+        for rows in (0, 1, 7, 16, 17, 150, 199, 200, 250):
+            first = {key: vectors[key] for key in range(min(rows, len(vectors)))}
+            for k in (1, 5, 17, 300):
+                want = lexsort_oracle(first, query, k) if first else []
+                assert index.top_k(f"q{trial}", k, embedder, rows=rows) == want, (trial, rows, k)
+
+
 def test_first_write_back_after_load_does_not_copy_the_rows(tmp_path):
     embedder = HashedBagEmbedder(dimension=64)
     corpus_path = write_corpus(tmp_path / "corpus.jsonl", TWO_HOP_CORPUS)
