@@ -57,10 +57,12 @@ def passage_text(doc: Document) -> str:
     return f"{doc.title}\n{doc.text}" if doc.title else doc.text
 
 
-def ingest_corpus(path: str | Path) -> Corpus:
-    """Load a line-JSON corpus file: {"id": ..., "title": ..., "text": ...}."""
+def ingest_corpus(path: str | Path, data: bytes | None = None) -> Corpus:
+    """Load a line-JSON corpus file: {"id": ..., "title": ..., "text": ...}.
+    ``data``, if given, is the file's bytes already read; they are parsed
+    in place of the file."""
     documents: list[Document] = []
-    for lineno, record in read_json_lines(path):
+    for lineno, record in read_json_lines(path, data):
         doc_id = record.get("id")
         text = record.get("text")
         title = record.get("title", "")

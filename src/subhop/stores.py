@@ -116,6 +116,15 @@ def load_graph(snapshot_dir: str | Path, manifest: dict | None = None) -> Knowle
     return graph
 
 
+def _read_corpus(source: Path, sha256: object) -> Corpus:
+    """The corpus at ``source``, read once; CorpusMismatch unless its bytes
+    hash to ``sha256``."""
+    data = source.read_bytes()
+    if hashlib.sha256(data).hexdigest() != sha256:
+        raise CorpusMismatch(f"corpus {source} changed since the snapshot was indexed")
+    return ingest_corpus(source, data)
+
+
 def load_stores(
     snapshot_dir: str | Path,
     embedder: Embedder,
@@ -124,10 +133,10 @@ def load_stores(
     """Rebuild stores from a snapshot directory.
 
     The embedder identity is validated against the manifest; the corpus is
-    re-read from its recorded path unless an override is given, and must
-    hash to the recorded ``corpus_sha256``. Both vector indexes are
-    embedded again from the graph and the corpus, as ``build_graph_index``
-    embeds them.
+    re-read from its recorded path unless an override is given, once: the
+    bytes that hash to the recorded ``corpus_sha256`` are the bytes parsed.
+    Both vector indexes are embedded again from the graph and the corpus,
+    as ``build_graph_index`` embeds them.
     """
     root = Path(snapshot_dir)
     manifest = load_manifest(root)
@@ -140,12 +149,9 @@ def load_stores(
         corpus_path = manifest.get("corpus_path")
         if not isinstance(corpus_path, str):
             raise ParseError("manifest 'corpus_path' must be a string")
-    source = Path(corpus_path)
-    if _file_sha256(source) != manifest.get("corpus_sha256"):
-        raise CorpusMismatch(f"corpus {source} changed since the snapshot was indexed")
-    graph = load_graph(root, manifest)
-    corpus = ingest_corpus(source)
+    corpus = _read_corpus(Path(corpus_path), manifest.get("corpus_sha256"))
     _check_count("corpus documents", len(corpus), manifest.get("passages"))
+    graph = load_graph(root, manifest)
     triple_index, passage_index = embed_indexes(graph, corpus, embedder)
     return Stores(
         graph=graph,

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .embedders import Embedder, Embedding
+from .embedders import Embedder, Embedding, Rows, embed_rows
 from .errors import DimensionMismatch
 from .kg import Triple
 
@@ -45,6 +45,10 @@ def verbalize(head: str, relation: str, tail: str) -> str:
 
 def verbalize_triple(t: Triple) -> str:
     return verbalize(t.head, t.relation, t.tail)
+
+
+# texts embedded at a time by ``VectorIndex.extend``
+EXTEND_CHUNK = 4096
 
 
 def _with_room(array: np.ndarray, used: int, needed: int) -> np.ndarray:
@@ -105,30 +109,41 @@ class VectorIndex:
     def extend(self, texts: Iterable[str], embedder: Embedder) -> None:
         """Append one row per text, keyed by the next row numbers.
 
-        Every text is embedded, and every embedding checked to fit the
-        dimension, before anything is written: an embedder that raises, or
-        a vector that does not fit (DimensionMismatch), leaves the index
-        unchanged. The rows' (column, weight) entries are then stably
-        sorted by column, which keeps each column's rows ascending, and
-        each posting grows once.
+        The texts are embedded ``EXTEND_CHUNK`` at a time (``embed_rows``),
+        so the embedder's working memory does not grow with their number.
+        Every chunk is embedded, and checked to fit the dimension, before
+        anything is written: an embedder that raises, or a vector that
+        does not fit (DimensionMismatch), leaves the index unchanged. Each
+        chunk's (column, weight) entries are stably sorted by column, which
+        keeps each column's rows ascending, and each posting grows once per
+        chunk.
         """
         self._check_embedder(embedder)
         texts = list(texts)
-        columns: list[int] = []
-        weights: list[float] = []
-        counts, norms = [], []
-        for text in texts:
-            emb = embedder.embed(text)
-            if emb.dimension != self._dimension:
-                raise DimensionMismatch(
-                    f"vector of dimension {emb.dimension} does not fit dimension {self._dimension}"
-                )
-            columns += emb.columns
-            weights += emb.weights
-            counts.append(len(emb.columns))
-            norms.append(emb.norm)
         start, end = self._n, self._n + len(texts)
-        columns = np.array(columns, dtype=np.intp)
+        chunks = []
+        for first in range(start, end, EXTEND_CHUNK):
+            part = texts[first - start:first - start + EXTEND_CHUNK]
+            rows = embed_rows(embedder, part)
+            chunks.append((first, rows.norms, *self._entries(rows, first, len(part))))
+        for _, _, entries, per_column in chunks:
+            bounds = np.concatenate(([0], np.cumsum(per_column))).tolist()
+            for column in np.flatnonzero(per_column).tolist():
+                self._add_to_posting(column, entries[:, bounds[column]:bounds[column + 1]])
+        self._norms = _with_room(self._norms, start, end)
+        for first, norms, _, _ in chunks:
+            self._norms[first:first + len(norms)] = norms
+        self._texts += texts
+        self._n = end
+
+    def _entries(self, rows: Rows, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (row, weight) entries of ``n`` embedded rows numbered from
+        ``first``, shape (2, m), sorted by column, and how many fall in each
+        column. Raises DimensionMismatch if a column lies outside the
+        dimension, and ValueError if the arrays disagree on their sizes."""
+        counts, columns, weights, norms = rows
+        if not len(counts) == len(norms) == n or not counts.sum() == len(columns) == len(weights):
+            raise ValueError(f"embedded rows do not describe {n} rows")
         per_column = np.bincount(columns, minlength=self._dimension)
         if len(per_column) > self._dimension:
             raise DimensionMismatch(
@@ -136,15 +151,9 @@ class VectorIndex:
             )
         order = np.argsort(columns, kind="stable")
         entries = np.empty((2, len(columns)))
-        entries[0] = np.repeat(np.arange(start, end, dtype=np.float64), counts)[order]
-        entries[1] = np.array(weights, dtype=np.float64)[order]
-        bounds = np.concatenate(([0], np.cumsum(per_column))).tolist()
-        for column in np.flatnonzero(per_column).tolist():
-            self._add_to_posting(column, entries[:, bounds[column]:bounds[column + 1]])
-        self._norms = _with_room(self._norms, start, end)
-        self._norms[start:end] = norms
-        self._texts += texts
-        self._n = end
+        entries[0] = np.repeat(np.arange(first, first + n, dtype=np.float64), counts)[order]
+        entries[1] = weights[order]
+        return entries, per_column
 
     def _add_to_posting(self, column: int, new: np.ndarray) -> None:
         fill = self._fill[column]

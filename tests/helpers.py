@@ -11,10 +11,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from subhop.config import Config
-from subhop.embedders import Embedder, FixtureEmbedder, basis_vector
+from subhop.embedders import Embedder, FixtureEmbedder, HashedBagEmbedder, basis_vector
 from subhop.gateway import Gateway
-from subhop.indexer import build_graph_index, ingest_corpus
-from subhop.stores import Stores
+from subhop.indexer import build_graph_index, embed_indexes, ingest_corpus
+from subhop.kg import KnowledgeGraph
+from subhop.stores import Stores, save_stores
 from subhop.stub import StubBackend, StubRule, dump_stub_script, rule
 from subhop.templates import TemplateRegistry
 from subhop.vector import VectorIndex
@@ -227,6 +228,21 @@ def write_corpus(path: Path, records: list[dict]) -> Path:
         encoding="utf-8",
     )
     return path
+
+
+def save_hash_snapshot(tmp_path: Path, triples: int) -> Path:
+    """A snapshot, built with the 64-dimension ``hash`` embedder, of
+    ``triples`` chain triples and the two-hop corpus; returns its
+    directory."""
+    embedder = HashedBagEmbedder(dimension=64)
+    corpus_path = write_corpus(tmp_path / "corpus.jsonl", TWO_HOP_CORPUS)
+    corpus = ingest_corpus(corpus_path)
+    graph = KnowledgeGraph()
+    for key in range(triples):
+        graph.insert(f"entity {key}", "r", f"entity {key // 2} ß", "doc:d1", 0)
+    stores = Stores(graph, *embed_indexes(graph, corpus, embedder), corpus)
+    save_stores(stores, tmp_path / "snap", embedder, corpus_path)
+    return tmp_path / "snap"
 
 
 @dataclass

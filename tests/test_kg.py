@@ -77,6 +77,14 @@ def test_fields_are_stored_normalized():
     assert g.lookup(0).head == "A b"
 
 
+def test_stored_triples_are_immutable():
+    g = KnowledgeGraph()
+    g.insert("A", "r", "B", "doc:d1", 0)
+    with pytest.raises(AttributeError):
+        g.lookup(0).head = "C"
+    assert g.lookup(0) == Triple(0, "A", "r", "B", "doc:d1", 0)
+
+
 def test_save_load_round_trip(tmp_path):
     g = KnowledgeGraph()
     g.insert("Inception", "directed by", "Christopher Nolan", "doc:d1", 0)

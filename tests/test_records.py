@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -21,6 +22,40 @@ def test_read_json_lines_skips_blank_lines_and_numbers_every_line(tmp_path):
     with pytest.raises(ParseError, match="not an object") as exc:
         next(records)
     assert exc.value.line == 5
+
+
+def test_read_json_lines_parses_each_line_on_its_own(tmp_path):
+    # neither line is JSON, though joined with a comma inside [] they
+    # would parse as two objects
+    path = tmp_path / "r.jsonl"
+    path.write_text('{"a":1},{"b":"x}\n{","c":1}\n', encoding="utf-8")
+    joined = "[" + ",".join(path.read_text(encoding="utf-8").splitlines()) + "]"
+    assert json.loads(joined) == [{"a": 1}, {"b": "x},{", "c": 1}]
+    with pytest.raises(ParseError, match="invalid JSON") as exc:
+        list(read_json_lines(path))
+    assert exc.value.line == 1
+
+
+@pytest.mark.parametrize("line", [
+    '{"a": [1, {"b": null}], "c": "\\u00e9\\n"}', '  {"a": 1}', '{"a": 1}  ', '\t{"a": 1}\t',
+    '{"a": 1}\r', '{"a": 1} {"b": 2}', '{"a": 1}x', '{"a": }', '{"a": 1', '"text"', '[1]', '12',
+    'nan', 'NaN', '\ufeff{"a": 1}', '{"a": 1}\u3000', '{"a": "\u2028"}', '{"a": 1, "a": 2}',
+])
+def test_every_line_parses_as_json_loads_parses_it(tmp_path, line):
+    path = tmp_path / "r.jsonl"
+    path.write_text(f"{line}\n", encoding="utf-8")
+    try:
+        want = json.loads(line)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(ParseError, match=re.escape(exc.msg)) as error:
+            list(read_json_lines(path))
+        assert error.value.line == 1
+        return
+    if isinstance(want, dict):
+        assert list(read_json_lines(path)) == [(1, want)]
+    else:
+        with pytest.raises(ParseError, match="not an object"):
+            list(read_json_lines(path))
 
 
 def test_read_json_checks_the_document_type_and_names_the_line(tmp_path):

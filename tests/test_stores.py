@@ -1,3 +1,5 @@
+import builtins
+import io
 import os
 import sys
 import threading
@@ -230,6 +232,28 @@ def test_load_stores_rejects_graph_cut_at_a_line_boundary(tmp_path):
     drop_last_line(snap / GRAPH_FILE)
     with pytest.raises(ParseError, match="graph triples"):
         load_stores(snap, world.embedder)
+
+
+def test_load_stores_reads_the_corpus_once(tmp_path, monkeypatch):
+    # the bytes that match the manifest's corpus_sha256 are the bytes parsed
+    world = build_two_hop_world(tmp_path)
+    snap = tmp_path / "snap"
+    save_stores(world.stores, snap, world.embedder, world.corpus_path)
+    opened: list[Path] = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(Path(file).resolve())
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    loaded = load_stores(snap, world.embedder)
+    monkeypatch.undo()
+    assert opened.count(world.corpus_path.resolve()) == 1
+    assert (snap / GRAPH_FILE).resolve() in opened
+    assert loaded.corpus == world.stores.corpus
 
 
 @pytest.mark.parametrize("field", ["triples", "passages"])

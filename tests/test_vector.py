@@ -8,15 +8,22 @@ import numpy as np
 import pytest
 
 from subhop import vector
-from subhop.embedders import Embedding, FixtureEmbedder, HashedBagEmbedder
+from subhop.embedders import Embedding, FixtureEmbedder, HashedBagEmbedder, Rows
 from subhop.errors import DimensionMismatch
 from subhop.indexer import embed_indexes, ingest_corpus
 from subhop.kg import KnowledgeGraph, Triple, dedup_key
 from subhop.solver import QuestionTrace, SubAnswer, trace_to_json
 from subhop.stores import Stores, load_stores, save_stores
-from subhop.vector import VectorIndex, verbalize_triple
+from subhop.vector import EXTEND_CHUNK, VectorIndex, verbalize_triple
 
-from helpers import TWO_HOP_CORPUS, append_row, index_rows, oracle_cosine_top_k, write_corpus
+from helpers import (
+    TWO_HOP_CORPUS,
+    append_row,
+    index_rows,
+    oracle_cosine_top_k,
+    save_hash_snapshot,
+    write_corpus,
+)
 
 
 def make_index(vectors: dict[int, list[float]]) -> tuple[VectorIndex, FixtureEmbedder]:
@@ -78,26 +85,55 @@ class _Given:
         return self._embeddings[text]
 
 
+class _GivenMany(_Given):
+    """``_Given`` with ``embed_many``, which returns the same embeddings as
+    ``Rows``."""
+
+    def embed_many(self, texts):
+        embeddings = [self._embeddings[text] for text in texts]
+        return Rows(np.array([len(e.columns) for e in embeddings], dtype=np.intp),
+                    np.array([c for e in embeddings for c in e.columns], dtype=np.intp),
+                    np.array([w for e in embeddings for w in e.weights], dtype=np.float64),
+                    np.array([e.norm for e in embeddings], dtype=np.float64))
+
+
+class _OneNormShort(_GivenMany):
+    """Returns one norm too few for a chunk that holds "x"."""
+
+    def embed_many(self, texts):
+        rows = super().embed_many(texts)
+        return rows._replace(norms=rows.norms[:-1]) if "x" in texts else rows
+
+
 _FITS = Embedding.of([0.0, 1.0])
+_OUTSIDE = Embedding((0, 2), (1.0, 1.0), math.sqrt(2.0), 2)
 
 
-@pytest.mark.parametrize(
-    "embedder, error",
-    [
-        (FixtureEmbedder({"ok": [0.0, 1.0, 0.0], "x": [1.0, 2.0, 3.0]}), DimensionMismatch),
-        (_Given({"ok": _FITS, "x": Embedding.of([1.0, 0.0, 0.0])}), DimensionMismatch),
-        (_Given({"ok": _FITS, "x": Embedding((0, 2), (1.0, 1.0), math.sqrt(2.0), 2)}),
-         DimensionMismatch),
-        (_Given({"ok": _FITS}), KeyError),
-    ],
-    ids=["embedder-dimension", "vector-dimension", "column-outside", "embedder-raises"],
-)
-def test_extend_that_fails_leaves_the_index_unchanged(embedder, error):
-    # "x" does not fit or cannot be embedded; "ok", before it, fits
+# (id, embedder, error) for extends that fail at the text "x"
+_FAILING_EXTENDS = [
+    ("embedder-dimension", FixtureEmbedder({"ok": [0.0, 1.0, 0.0], "x": [1.0, 2.0, 3.0]}),
+     DimensionMismatch),
+    ("vector-dimension", _Given({"ok": _FITS, "x": Embedding.of([1.0, 0.0, 0.0])}),
+     DimensionMismatch),
+    ("column-outside", _Given({"ok": _FITS, "x": _OUTSIDE}), DimensionMismatch),
+    ("embedder-raises", _Given({"ok": _FITS}), KeyError),
+    ("batch-column-outside", _GivenMany({"ok": _FITS, "x": _OUTSIDE}), DimensionMismatch),
+    ("batch-raises", _GivenMany({"ok": _FITS}), KeyError),
+    ("batch-rows-disagree", _OneNormShort({"ok": _FITS, "x": _FITS}), ValueError),
+]
+
+
+@pytest.mark.parametrize("embedder, error, later_chunk", [
+    pytest.param(embedder, error, later_chunk, id=name + ("-later-chunk" if later_chunk else ""))
+    for later_chunk in (False, True) for name, embedder, error in _FAILING_EXTENDS
+])
+def test_extend_that_fails_leaves_the_index_unchanged(embedder, error, later_chunk):
+    # "x" does not fit or cannot be embedded; every "ok" before it fits,
+    # and with ``later_chunk`` fills the whole first chunk
     index, _ = make_index({0: [1.0, 0.0]})
     before = index_rows(index)
     with pytest.raises(error):
-        index.extend(["ok", "x"], embedder)
+        index.extend(["ok"] * (EXTEND_CHUNK if later_chunk else 1) + ["x"], embedder)
     assert index_rows(index) == before
     index.extend(["ok"], _Given({"ok": _FITS}))
     assert list(index.entries()) == [(0, "t0"), (1, "ok")]
@@ -539,3 +575,91 @@ def test_bulk_fill_equals_upserts(tmp_path):
     save_stores(stores, tmp_path / "snap", embedder, corpus_path)
     loaded = load_stores(tmp_path / "snap", embedder)
     assert index_rows(loaded.triple_index) == index_rows(stores.triple_index)
+
+
+# Texts that the batched hashing must embed exactly as ``embed`` does one
+# at a time: no tokens at all, tokens that cancel in a bucket (found per
+# dimension below), a NUL inside a text, casefold expansions, non-ASCII
+# word characters and repeated tokens.
+_EDGE_TEXTS = ["", "?!. ,;", "a\x00b", "x\x00\x00y z\x00", "Straße STRASSE strasse", "ß ẞ ﬁ ǅ",
+               "Émile 東京 İstanbul ΣΑΣ Ωmega", "٣٤ x_1 _", "the the the THE of of",
+               "tab\tnew\nline\r\u3000ideographic\u2028sep"]
+
+
+def _cancelling_pair(embedder: HashedBagEmbedder) -> str:
+    """Two tokens with opposite signs in one bucket, as one text."""
+    seen: dict[tuple[int, float], str] = {}
+    for i in range(10_000):
+        emb = embedder.embed(f"w{i}")
+        key = (emb.columns[0], emb.weights[0])
+        partner = seen.get((key[0], -key[1]))
+        if partner is not None:
+            return f"{partner} w{i}"
+        seen.setdefault(key, f"w{i}")
+    raise AssertionError("no cancelling pair")
+
+
+@pytest.mark.parametrize("dimension", [1, 3, 16, 256])
+def test_embed_many_equals_embed_row_by_row(dimension):
+    embedder = HashedBagEmbedder(dimension)
+    rng = random.Random(dimension)
+    words = ["Émile", "the", "THE", "ß", "straße", "a_b", "42", "-", " ", "\x00", "東京", "ﬁ"]
+    cancel = _cancelling_pair(embedder)
+    texts = _EDGE_TEXTS + [cancel, cancel + " " + cancel] + [
+        " ".join(rng.choice(words) for _ in range(rng.randrange(15))) for _ in range(300)]
+    rows = embedder.embed_many(texts)
+    assert [a.dtype for a in rows] == [np.intp, np.intp, np.float64, np.float64]
+    assert len(rows.counts) == len(rows.norms) == len(texts)
+    assert rows.counts.sum() == len(rows.columns) == len(rows.weights)
+    ends = np.cumsum(rows.counts).tolist()
+    for text, end, count, norm in zip(texts, ends, rows.counts.tolist(), rows.norms.tolist()):
+        emb = embedder.embed(text)
+        assert rows.columns[end - count:end].tolist() == list(emb.columns), text
+        assert (rows.weights[end - count:end].tobytes()
+                == np.array(emb.weights, dtype=np.float64).tobytes()), text
+        assert norm.hex() == emb.norm.hex(), text
+    assert rows.counts[len(_EDGE_TEXTS)] == 0  # the cancelling pair
+    empty = embedder.embed_many([])
+    assert [len(a) for a in empty] == [0, 0, 0, 0]
+
+
+def test_extend_in_chunks_equals_one_text_extends():
+    embedder = HashedBagEmbedder(dimension=32)
+    sizes = [0, 1, EXTEND_CHUNK - 1, EXTEND_CHUNK, EXTEND_CHUNK + 1, 2 * EXTEND_CHUNK + 3]
+    texts = [f"entity {key} of {key % 13} {_EDGE_TEXTS[key % len(_EDGE_TEXTS)]}"
+             for key in range(sizes[-1])]
+    one_by_one = VectorIndex(dimension=32)
+    expected = {0: index_rows(one_by_one)}
+    for text in texts:
+        append_row(one_by_one, text, embedder)
+        if len(one_by_one) in sizes:
+            expected[len(one_by_one)] = index_rows(one_by_one)
+    for size in sizes:
+        filled = VectorIndex(dimension=32)
+        filled.extend(texts[:size], embedder)
+        assert index_rows(filled) == expected[size], size
+    # chunks counted from a row that is not 0
+    filled = VectorIndex(dimension=32)
+    filled.extend(texts[:1], embedder)
+    filled.extend(texts[1:], embedder)
+    assert index_rows(filled) == expected[sizes[-1]]
+
+
+class _EmbedOnly:
+    """An embedder with only ``name``, ``dimension`` and ``embed``, as a
+    user's embedder or the benchmark's tracing proxy may be."""
+
+    def __init__(self, inner):
+        self.name = inner.name
+        self.dimension = inner.dimension
+        self.embed = inner.embed
+
+
+def test_an_embedder_without_embed_many_loads_the_same_rows(tmp_path):
+    embedder = HashedBagEmbedder(dimension=64)
+    snap = save_hash_snapshot(tmp_path, EXTEND_CHUNK + 5)
+    assert not hasattr(_EmbedOnly(embedder), "embed_many")
+    batched = load_stores(snap, embedder)
+    one_by_one = load_stores(snap, _EmbedOnly(embedder))
+    assert index_rows(one_by_one.triple_index) == index_rows(batched.triple_index)
+    assert index_rows(one_by_one.passage_index) == index_rows(batched.passage_index)
