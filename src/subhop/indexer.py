@@ -9,13 +9,14 @@ from the same corpus and script yields an identical graph.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .embedders import Embedder
-from .errors import DuplicateDocId, ParseError, StructuredParseError
+from .errors import CorpusMismatch, DuplicateDocId, ParseError, StructuredParseError
 from .gateway import ChatRequest, Gateway
 from .kg import KnowledgeGraph, normalize_field
 from .records import read_json_lines
@@ -38,15 +39,18 @@ class Document:
 @dataclass
 class Corpus:
     documents: list[Document]
+    # sha256 of the file bytes the documents were parsed from, which a
+    # snapshot records; None for a corpus built in memory
+    sha256: str | None = field(default=None, compare=False)
 
     @classmethod
-    def from_documents(cls, documents: list[Document]) -> "Corpus":
+    def from_documents(cls, documents: list[Document], sha256: str | None = None) -> "Corpus":
         seen: set[str] = set()
         for doc in documents:
             if doc.id in seen:
                 raise DuplicateDocId(doc.id)
             seen.add(doc.id)
-        return cls(documents=documents)
+        return cls(documents=documents, sha256=sha256)
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -57,10 +61,18 @@ def passage_text(doc: Document) -> str:
     return f"{doc.title}\n{doc.text}" if doc.title else doc.text
 
 
-def ingest_corpus(path: str | Path, data: bytes | None = None) -> Corpus:
+def ingest_corpus(path: str | Path, sha256: str | None = None) -> Corpus:
     """Load a line-JSON corpus file: {"id": ..., "title": ..., "text": ...}.
-    ``data``, if given, is the file's bytes already read; they are parsed
-    in place of the file."""
+
+    The file is read once, and the corpus records the sha256 of the bytes
+    parsed, so a snapshot pins what was indexed even if the file changes
+    later. ``sha256``, if given, is the digest a snapshot recorded: the
+    bytes must hash to it, else CorpusMismatch is raised before parsing.
+    """
+    data = Path(path).read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    if sha256 is not None and digest != sha256:
+        raise CorpusMismatch(f"corpus {path} changed since the snapshot was indexed")
     documents: list[Document] = []
     for lineno, record in read_json_lines(path, data):
         doc_id = record.get("id")
@@ -73,7 +85,7 @@ def ingest_corpus(path: str | Path, data: bytes | None = None) -> Corpus:
         if not isinstance(title, str):
             raise ParseError("'title' must be a string", line=lineno)
         documents.append(Document(id=doc_id, title=title, text=text))
-    return Corpus.from_documents(documents)
+    return Corpus.from_documents(documents, digest)
 
 
 def split_for_extraction(text: str, char_budget: int = DEFAULT_CHAR_BUDGET) -> list[str]:

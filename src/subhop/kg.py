@@ -172,6 +172,11 @@ class KnowledgeGraph:
         return graph
 
 
+# one encoder for every line: ``json.dumps`` with these options builds a
+# new one per call, and the output is the same
+_ENCODE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
 def encode_record(t: Triple) -> str:
     """One triple as its snapshot line (compact JSON, fixed field order)."""
     record = {
@@ -182,7 +187,7 @@ def encode_record(t: Triple) -> str:
         "provenance": t.provenance,
         "step": t.created_at_step,
     }
-    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+    return _ENCODE(record)
 
 
 def _decode_record(record: dict, lineno: int) -> tuple[int, tuple[str, str, str], str, int]:

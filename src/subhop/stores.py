@@ -8,7 +8,6 @@ Write-backs touch the graph and the triple index together, so they take
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
@@ -19,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .embedders import Embedder
-from .errors import CorpusMismatch, EmbedderMismatch, ParseError
+from .errors import EmbedderMismatch, ParseError
 from .indexer import Corpus, embed_indexes, ingest_corpus
 from .kg import KnowledgeGraph
 from .records import read_json
@@ -38,14 +37,6 @@ class Stores:
     passage_index: VectorIndex
     corpus: Corpus
     write_lock: threading.Lock = field(default_factory=threading.Lock)
-
-
-def _file_sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def snapshot_exists(snapshot_dir: str | Path) -> bool:
@@ -68,7 +59,13 @@ def save_stores(
     an error while writing leaves the previous snapshot as it was, and one
     while moving leaves no manifest, so nothing loads a mix of old and new
     files. Other files in ``snapshot_dir`` are left alone.
+
+    The manifest pins the corpus by the sha256 of the bytes its documents
+    were parsed from (``Corpus.sha256``), not by the file as it is now;
+    a corpus built in memory has none, and ValueError is raised.
     """
+    if stores.corpus.sha256 is None:
+        raise ValueError("the corpus was not read from a file, so no digest pins it")
     root = Path(snapshot_dir)
     root.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=root))
@@ -76,7 +73,7 @@ def save_stores(
         stores.graph.save(staging / GRAPH_FILE)
         manifest = {
             "corpus_path": str(corpus_path),
-            "corpus_sha256": _file_sha256(corpus_path),
+            "corpus_sha256": stores.corpus.sha256,
             "embedder": embedder.name,
             "dimension": embedder.dimension,
             "triples": len(stores.graph),
@@ -116,15 +113,6 @@ def load_graph(snapshot_dir: str | Path, manifest: dict | None = None) -> Knowle
     return graph
 
 
-def _read_corpus(source: Path, sha256: object) -> Corpus:
-    """The corpus at ``source``, read once; CorpusMismatch unless its bytes
-    hash to ``sha256``."""
-    data = source.read_bytes()
-    if hashlib.sha256(data).hexdigest() != sha256:
-        raise CorpusMismatch(f"corpus {source} changed since the snapshot was indexed")
-    return ingest_corpus(source, data)
-
-
 def load_stores(
     snapshot_dir: str | Path,
     embedder: Embedder,
@@ -149,7 +137,10 @@ def load_stores(
         corpus_path = manifest.get("corpus_path")
         if not isinstance(corpus_path, str):
             raise ParseError("manifest 'corpus_path' must be a string")
-    corpus = _read_corpus(Path(corpus_path), manifest.get("corpus_sha256"))
+    sha256 = manifest.get("corpus_sha256")
+    if not isinstance(sha256, str):
+        raise ParseError("manifest 'corpus_sha256' must be a string")
+    corpus = ingest_corpus(corpus_path, sha256)
     _check_count("corpus documents", len(corpus), manifest.get("passages"))
     graph = load_graph(root, manifest)
     triple_index, passage_index = embed_indexes(graph, corpus, embedder)

@@ -6,6 +6,15 @@ only the postings of its own nonzero columns, which for a hashed
 bag-of-words query are a few of the 256, and so scores exactly the rows
 it touches; every other row scores 0. Ties break by ascending key;
 zero-norm vectors score 0.
+
+Selection reads only the gathered posting entries, not a row-length
+array. A row has at most one entry per query column, so the best
+``k * len(query.columns)`` entries name at least k rows, and the score
+of the last of them is a lower bound on the k-th best row's. When that
+bound is above 0, every row that can rank, ties at the k-th score
+included, has all its entries at or above it, and only those entries
+are sorted. Otherwise the positive entries are sorted, and the rows
+scoring 0 and then the negative ones fill the rest.
 """
 
 from __future__ import annotations
@@ -22,20 +31,52 @@ from .kg import Triple
 def cosine_scores(
     postings: np.ndarray, norms: np.ndarray, query_norm: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The rows with a nonzero dot product against the query, ascending,
-    and their cosine scores; every other row scores 0.
+    """Each gathered entry's row, and that row's cosine score.
 
     ``postings`` is the query's gathered postings, shape ``(2, m)``: row
-    numbers and ``weight * query weight`` products, summed per row into
-    the dot product. Rows at or beyond ``len(norms)`` are left out. On
-    integer vectors such as the ``hash`` embedder's every sum is exact, so
-    the order of the terms does not matter.
+    numbers and ``weight * query weight`` products, summed per row, in
+    entry order, into the dot product. A row appears once per query
+    column it is nonzero in, each time with the same score bits; a row no
+    entry names scores 0. Entries of rows at or beyond ``len(norms)`` are
+    dropped. On integer vectors such as the ``hash`` embedder's every sum
+    is exact, so the order of the terms does not matter.
     """
     n = len(norms)
-    dots = np.bincount(postings[0].astype(np.intp), postings[1], minlength=n)[:n]
-    # a boolean mask is several times faster to search than the floats
-    rows = np.flatnonzero(dots != 0.0)
+    rows = postings[0].astype(np.intp)
+    dots = np.bincount(rows, postings[1])
+    if len(dots) > n:
+        # each row's sum is its own, so the dots of the rows below n stand
+        rows = rows[rows < n]
     return rows, dots[rows] / (norms[rows] * query_norm)
+
+
+def _cut(scores: np.ndarray, need: int) -> float:
+    """The ``need``-th best of the entry scores, or 0.0 if there are no
+    more entries than that. Above 0 it bounds the k-th best row's score
+    from below when ``need`` is k times the number of query columns."""
+    if need >= len(scores):
+        return 0.0
+    return float(-np.partition(-scores, need - 1)[need - 1])
+
+
+def _ranked(
+    rows: np.ndarray, scores: np.ndarray, count: int, columns: int
+) -> list[tuple[int, float]]:
+    """The first ``count`` distinct rows of the entries, by descending
+    score and then ascending row, with their scores. A row has at most
+    ``columns`` entries, all with the same score, so they are adjacent
+    after the sort and the first ``count * columns`` entries name enough
+    rows."""
+    order = np.lexsort((rows, -scores))[: count * columns]
+    ranked: list[tuple[int, float]] = []
+    last = -1
+    for row, score in zip(rows[order].tolist(), scores[order].tolist()):
+        if row != last:
+            ranked.append((row, score))
+            last = row
+            if len(ranked) == count:
+                break
+    return ranked
 
 
 def verbalize(head: str, relation: str, tail: str) -> str:
@@ -171,7 +212,7 @@ class VectorIndex:
         parts = [self._postings[column][:, :fill]
                  for column, fill in zip(query.columns, fills)]
         gathered = np.concatenate(parts, axis=1) if parts else np.empty((2, 0))
-        gathered[1] *= np.repeat(query.weights, fills)
+        gathered[1] *= np.array(query.weights).repeat(fills)
         return gathered
 
     def top_k(
@@ -194,25 +235,21 @@ class VectorIndex:
         query = embedder.embed(query_text)
         rows, scores = cosine_scores(self._gather(query), self._norms[:n], query.norm)
         k = min(k, n)
-        if np.count_nonzero(scores > 0.0) < k:
-            # the rows scoring 0 rank next: every row outside ``rows``.
-            # Only the first k of them by key can rank, and those lie below
-            # k + len(rows)
-            free = np.ones(min(n, k + len(rows)), dtype=bool)
-            free[rows[rows < len(free)]] = False
-            zeros = np.flatnonzero(free)[:k]
-            rows = np.concatenate((rows, zeros))
-            scores = np.concatenate((scores, np.zeros(len(zeros))))
-            by_key = np.argsort(rows)
-            rows, scores = rows[by_key], scores[by_key]
-        if len(rows) > k:
-            # every row ranked above the k-th score, and every row tied
-            # with it, is a candidate; sorting only those gives the same
-            # prefix as sorting all of them. With k positive scores this
-            # leaves out every row at or below 0
-            kth = -np.partition(-scores, k - 1)[k - 1]
-            keep = scores >= kth
-            rows, scores = rows[keep], scores[keep]
-        # rows ascend, so a stable sort keeps tied rows by ascending key
-        order = np.argsort(-scores, kind="stable")[:k]
-        return list(zip(rows[order].tolist(), scores[order].tolist()))
+        # every row that can rank has all its entries at or above a
+        # positive cut (module docstring); else every positive row can
+        cut = _cut(scores, k * len(query.columns))
+        keep = scores >= cut if cut > 0.0 else scores > 0.0
+        hits = _ranked(rows[keep], scores[keep], k, len(query.columns))
+        if len(hits) < k:
+            # fewer than k rows score above 0. The rows scoring 0 rank next:
+            # every row without a nonzero entry. Only the first of them by
+            # key can rank, and those lie below k + len(nonzero)
+            nonzero = rows[scores != 0.0]
+            free = np.ones(min(n, k + len(nonzero)), dtype=bool)
+            free[nonzero[nonzero < len(free)]] = False
+            hits += [(row, 0.0) for row in np.flatnonzero(free)[: k - len(hits)].tolist()]
+        if len(hits) < k:
+            # and the negative rows last
+            negative = scores < 0.0
+            hits += _ranked(rows[negative], scores[negative], k - len(hits), len(query.columns))
+        return hits

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import subhop
+from subhop import cli
 from subhop.cli import _config_from_args, build_parser, run
 from subhop.config import load_config
 from subhop.errors import ConfigError
+from subhop.indexer import build_graph_index
 from subhop.kg import KnowledgeGraph
 from subhop.solver import validate_trace_dict
 from subhop.stub import rule
@@ -331,6 +333,21 @@ def test_ask_after_corpus_changed_exits_4(env, capsys):
     assert "changed since the snapshot was indexed" in capsys.readouterr().err
 
 
+def test_index_pins_the_corpus_bytes_it_parsed(env, capsys, monkeypatch):
+    # d1 is rewritten after the corpus was read and before the snapshot is
+    # saved: the manifest must pin the bytes the graph was extracted from
+    def rewrite_then_build(*args, **kwargs):
+        edited = [dict(TWO_HOP_CORPUS[0], text="Rewritten while indexing.")]
+        write_corpus(env["corpus"], edited + TWO_HOP_CORPUS[1:])
+        return build_graph_index(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_graph_index", rewrite_then_build)
+    assert do_index(env) == 0
+    capsys.readouterr()
+    assert run(base_args(env, "ask_script") + ["ask", TWO_HOP_QUESTION]) == 4
+    assert "changed since the snapshot was indexed" in capsys.readouterr().err
+
+
 def test_no_arguments_is_usage_error():
     assert run([]) == 2
 
@@ -448,3 +465,13 @@ def test_ask_with_a_manifest_corpus_path_that_is_not_a_string_exits_4(env, capsy
     path.write_text(json.dumps(manifest), encoding="utf-8")
     assert run(base_args(env, "ask_script") + ["ask", TWO_HOP_QUESTION]) == 4
     assert "'corpus_path' must be a string" in capsys.readouterr().err
+
+
+def test_ask_with_a_manifest_without_a_corpus_sha256_exits_4(env, capsys):
+    do_index(env)
+    path = env["snapshot"] / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    del manifest["corpus_sha256"]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert run(base_args(env, "ask_script") + ["ask", TWO_HOP_QUESTION]) == 4
+    assert "'corpus_sha256' must be a string" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 from subhop.embedders import HashedBagEmbedder
 from subhop.errors import CorpusMismatch, DuplicateDocId, ParseError
 from subhop.indexer import (
+    Corpus,
     Document,
     build_graph_index,
     extract_triples,
@@ -109,8 +110,6 @@ def test_long_document_extracted_per_chunk():
 
 
 def _corpus(records):
-    from subhop.indexer import Corpus
-
     return Corpus.from_documents([Document(**r) for r in records])
 
 
@@ -214,6 +213,23 @@ def test_concurrent_extraction_preserves_corpus_order():
     ]
     graph_par, *_ = build_graph_index(corpus, stub_gateway(rules2), embedder, workers=4)
     assert graph_seq == graph_par
+
+
+def test_snapshot_pins_the_corpus_bytes_that_were_parsed(tmp_path):
+    world = build_two_hop_world(tmp_path)
+    edited = [dict(TWO_HOP_CORPUS[0], text="Rewritten after it was parsed.")]
+    write_corpus(world.corpus_path, edited + TWO_HOP_CORPUS[1:])
+    save_stores(world.stores, tmp_path / "snap", world.embedder, world.corpus_path)
+    with pytest.raises(CorpusMismatch):
+        load_stores(tmp_path / "snap", world.embedder)
+
+
+def test_saving_a_corpus_built_in_memory_is_refused(tmp_path):
+    world = build_two_hop_world(tmp_path)
+    world.stores.corpus = Corpus.from_documents(list(world.stores.corpus.documents))
+    with pytest.raises(ValueError, match="not read from a file"):
+        save_stores(world.stores, tmp_path / "snap", world.embedder, world.corpus_path)
+    assert not (tmp_path / "snap").exists()
 
 
 def test_load_stores_rejects_changed_corpus(tmp_path):

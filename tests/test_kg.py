@@ -114,6 +114,22 @@ def test_save_load_save_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_saved_lines_are_compact_json_dumps_output(tmp_path):
+    # the shared encoder writes what json.dumps with the same options does
+    g = KnowledgeGraph()
+    g.insert('say "hi"', "back\\slash", "Céline \u2028 ☃ \x01", "doc:d1", 0)
+    g.insert("tab\there", "r", "😀", "dynamic:q9", 3)
+    path = tmp_path / "graph.jsonl"
+    g.save(path)
+    want = "".join(
+        json.dumps({"id": t.id, "head": t.head, "relation": t.relation, "tail": t.tail,
+                    "provenance": t.provenance, "step": t.created_at_step},
+                   ensure_ascii=False, separators=(",", ":")) + "\n"
+        for t in g
+    )
+    assert path.read_text(encoding="utf-8") == want
+
+
 def test_load_malformed_line_reports_line_number(tmp_path):
     path = tmp_path / "graph.jsonl"
     g = KnowledgeGraph()

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from subhop import vector
 from subhop.benchmark import QAExample, run_benchmark
 from subhop.embedders import FixtureEmbedder, HashedBagEmbedder
 from subhop.errors import EmbedderMismatch, ParseError
@@ -57,7 +58,7 @@ def drop_last_line(path: Path) -> None:
 # -- concurrent readers and one writer -----------------------------------------
 
 
-def test_readers_get_exact_scores_while_a_writer_grows_the_index():
+def test_readers_get_exact_scores_while_a_writer_grows_the_index(monkeypatch):
     embedder = HashedBagEmbedder(dimension=32)
     stores = Stores(
         graph=KnowledgeGraph(),
@@ -74,10 +75,19 @@ def test_readers_get_exact_scores_while_a_writer_grows_the_index():
     for i in range(5):
         texts[i] = text_of(i)
         append_row(index, texts[i], embedder)
-    queries = ["about w3 and w4", "near v2", "fact 17 w1", "w12 w6 v0"]
+    queries = ["about w3 and w4", "near v2", "fact 17 w1", "w12 w6 v0", "w5 near v3"]
     done = threading.Event()
     failures: list[str] = []
     reads = [0] * len(queries)
+    # the cut of each read: above 0 when it selected from the best entries
+    cuts: list[float] = []
+    real_cut = vector._cut
+
+    def recording_cut(scores, need):
+        cuts.append(real_cut(scores, need))
+        return cuts[-1]
+
+    monkeypatch.setattr(vector, "_cut", recording_cut)
 
     def writer() -> None:
         try:
@@ -87,15 +97,20 @@ def test_readers_get_exact_scores_while_a_writer_grows_the_index():
         finally:
             done.set()
 
-    def reader(slot: int) -> None:
+    def reader(slot: int, bounded: bool = False) -> None:
         query = embedder.embed(queries[slot])
         while not done.is_set() or reads[slot] == 0:
             size = len(index)
-            result = index.top_k(queries[slot], 5, embedder)
+            # a bounded reader passes a row count below the index's length,
+            # as a reader that resolves keys in a shorter store does
+            bound = size // 2 + 1 if bounded else None
+            result = index.top_k(queries[slot], 5, embedder, rows=bound)
             reads[slot] += 1
-            if len(result) != min(5, size):
-                failures.append(f"{len(result)} results from {size} rows")
+            if len(result) != min(5, bound or size):
+                failures.append(f"{len(result)} results from {bound or size} rows")
             for key, score in result:
+                if bounded and key >= bound:
+                    failures.append(f"key {key} at or beyond the bound {bound}")
                 if key not in texts:
                     failures.append(f"unknown key {key}")
                     continue
@@ -105,6 +120,7 @@ def test_readers_get_exact_scores_while_a_writer_grows_the_index():
                     failures.append(f"key {key}: score {score} != {want}")
 
     threads = [threading.Thread(target=reader, args=(slot,)) for slot in range(4)]
+    threads.append(threading.Thread(target=reader, args=(4, True)))
     threads.append(threading.Thread(target=writer))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -118,6 +134,7 @@ def test_readers_get_exact_scores_while_a_writer_grows_the_index():
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     assert len(index) == 3000 and all(count > 0 for count in reads)
+    assert any(cut > 0.0 for cut in cuts)
 
 
 class SlowInsertGraph(KnowledgeGraph):

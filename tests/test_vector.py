@@ -3,16 +3,20 @@ import json
 import math
 import random
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from subhop import vector
+from subhop.config import Config
 from subhop.embedders import Embedding, FixtureEmbedder, HashedBagEmbedder, Rows
 from subhop.errors import DimensionMismatch
+from subhop.gateway import Gateway
 from subhop.indexer import embed_indexes, ingest_corpus
 from subhop.kg import KnowledgeGraph, Triple, dedup_key
-from subhop.solver import QuestionTrace, SubAnswer, trace_to_json
+from subhop.solver import QuestionTrace, SubAnswer, solve, trace_to_json
 from subhop.stores import Stores, load_stores, save_stores
 from subhop.vector import EXTEND_CHUNK, VectorIndex, verbalize_triple
 
@@ -489,8 +493,10 @@ def test_scan_reads_only_the_query_columns():
     for column in np.flatnonzero(query == 0.0):
         index._postings[column][1] = np.nan
     emb = embedder.embed("q")
-    _, scores = vector.cosine_scores(index._gather(emb), index._norms[: len(index)], emb.norm)
-    assert len(scores) == 100 and np.isfinite(scores).all()
+    rows, scores = vector.cosine_scores(index._gather(emb), index._norms[: len(index)], emb.norm)
+    # one entry per row and query column, each with its row's score
+    assert sorted(rows.tolist()) == sorted(list(range(100)) * 2)
+    assert np.isfinite(scores).all()
     assert index.top_k("q", 100, embedder) == before
 
 
@@ -546,6 +552,215 @@ def test_hash_embedding_equals_the_dense_reference():
             assert emb.values.tobytes() == want.tobytes()
             assert list(emb.columns) == np.flatnonzero(want).tolist()
             assert emb.norm.hex() == float(np.linalg.norm(want)).hex()
+
+
+# -- selection from the best entries -----------------------------------------
+
+
+def reference_top_k(index: VectorIndex, embedder, text: str, k: int, rows=None):
+    """top_k as the scan ranked before it selected from the gathered
+    entries, written apart from it: a row-length ``np.bincount`` over the
+    query's postings in column order, every touched row with a nonzero dot
+    product scored, every other row +0.0, and all rows sorted by (-score,
+    row)."""
+    n = len(index) if rows is None else min(rows, len(index))
+    query = embedder.embed(text)
+    ids, products = [np.empty(0)], [np.empty(0)]
+    for column, weight in zip(query.columns, query.weights):
+        posting = index._postings[column][:, : index._fill[column]]
+        ids.append(posting[0])
+        products.append(posting[1] * weight)
+    dots = np.bincount(np.concatenate(ids).astype(np.intp), np.concatenate(products),
+                       minlength=n)[:n]
+    scores = np.zeros(n)
+    touched = dots != 0.0
+    scores[touched] = dots[touched] / (index._norms[:n][touched] * query.norm)
+    order = np.lexsort((np.arange(n), -scores))[:k]
+    return [(int(row), float(scores[row])) for row in order]
+
+
+def hexed(hits):
+    return [(key, score.hex()) for key, score in hits]
+
+
+@pytest.fixture()
+def cuts(monkeypatch):
+    """The cut of every top_k call from here on: above 0 when the prefilter
+    applied."""
+    seen: list[float] = []
+    real = vector._cut
+
+    def recording(scores, need):
+        seen.append(real(scores, need))
+        return seen[-1]
+
+    monkeypatch.setattr(vector, "_cut", recording)
+    return seen
+
+
+def test_selection_with_exactly_need_positive_entries(cuts):
+    # query columns 0 and 1, k = 2: need = 4 entries, and exactly 4 score
+    # above 0 (rows 3 and 5, touched in both columns); the rest are negative
+    vectors = {key: np.array([-1.0, 0.0, 1.0, 0.0]) for key in range(8)}
+    vectors[3] = np.array([1.0, 1.0, 0.0, 0.0])
+    vectors[5] = np.array([2.0, 1.0, 1.0, 0.0])
+    vectors[6] = np.array([0.0, -1.0, 0.0, 1.0])
+    embedder = FixtureEmbedder({"q": [1.0, 1.0, 0.0, 0.0]}, default=[0.0] * 4)
+    index = VectorIndex(dimension=4)
+    fill(index, embedder, vectors)
+    query = np.array([1.0, 1.0, 0.0, 0.0])
+    assert index.top_k("q", 2, embedder) == lexsort_oracle(vectors, query, 2)
+    assert cuts[-1] > 0.0  # the 4th best entry is row 3's
+    for k in (1, 3, 8):
+        assert index.top_k("q", k, embedder) == lexsort_oracle(vectors, query, k), k
+
+
+def test_selection_with_ties_across_the_need_th_entry(cuts):
+    # rows 0..39 tie, touched in both query columns; a few score higher.
+    # The need-th entry falls inside the tie, which must rank by key
+    vectors = {key: np.array([1.0, 1.0, 1.0, 0.0]) for key in range(40)}
+    for key in (7, 31):
+        vectors[key] = np.array([1.0, 1.0, 0.0, 0.0])
+    embedder = FixtureEmbedder({"q": [1.0, 1.0, 0.0, 0.0]}, default=[0.0] * 4)
+    index = VectorIndex(dimension=4)
+    fill(index, embedder, vectors)
+    query = np.array([1.0, 1.0, 0.0, 0.0])
+    for k in (1, 2, 3, 5, 19, 20, 39):
+        cuts.clear()
+        got = index.top_k("q", k, embedder)
+        assert got == lexsort_oracle(vectors, query, k), k
+        assert [key for key, _ in got[:2]] == [7, 31][:k]
+        assert cuts[0] > 0.0 or 2 * k >= 80
+
+
+def test_selection_when_every_row_is_touched_by_every_query_column(cuts):
+    # each row has one entry per query column, so need entries are exactly
+    # k rows' worth
+    rng = np.random.default_rng(31)
+    vectors = {key: rng.integers(1, 4, size=6).astype(np.float64) for key in range(120)}
+    embedder = FixtureEmbedder({}, default=[0.0] * 6)
+    index = VectorIndex(dimension=6)
+    fill(index, embedder, vectors)
+    for trial in range(10):
+        query = rng.integers(1, 3, size=6).astype(np.float64)
+        embedder.add(f"q{trial}", query.tolist())
+        for k in (1, 4, 10, 119, 120):
+            assert index.top_k(f"q{trial}", k, embedder) == lexsort_oracle(vectors, query, k)
+    assert any(cut > 0.0 for cut in cuts)
+
+
+def test_selection_with_few_positive_hash_entries_falls_back_exactly(cuts):
+    # dimension 4 makes hash tokens share buckets: signs cancel to nothing
+    # or to a negative weight, and most entries score 0 or below
+    embedder = HashedBagEmbedder(dimension=4)
+    rng = random.Random(32)
+    words = [f"w{i}" for i in range(12)]
+    index = VectorIndex(dimension=4)
+    index.extend([" ".join(rng.choices(words, k=rng.randrange(1, 6))) for _ in range(150)],
+                 embedder)
+    fallbacks = 0
+    for trial in range(60):
+        text = " ".join(rng.choices(words, k=rng.randrange(1, 5)))
+        for k in (1, 3, 10, 60, 149, 150, 400):
+            cuts.clear()
+            assert hexed(index.top_k(text, k, embedder)) == hexed(
+                reference_top_k(index, embedder, text, k)), (text, k)
+            fallbacks += cuts[0] == 0.0
+    assert fallbacks > 0
+
+
+def test_selection_for_a_zero_norm_query_and_k_beyond_the_touched_rows():
+    rng = np.random.default_rng(33)
+    vectors = {key: np.zeros(8) for key in range(50)}
+    for key in rng.choice(50, size=6, replace=False):
+        vectors[int(key)][rng.integers(0, 8)] = rng.choice([-1.0, 1.0, 2.0])
+    embedder = FixtureEmbedder({"zero": [0.0] * 8}, default=[0.0] * 8)
+    index = VectorIndex(dimension=8)
+    fill(index, embedder, vectors)
+    for column in range(8):
+        query = np.eye(8)[column]
+        embedder.add(f"e{column}", query.tolist())
+        touched = sum(vectors[key][column] != 0.0 for key in vectors)
+        for k in (1, max(touched, 1), touched + 1, 49, 50, 51, 500):
+            assert index.top_k(f"e{column}", k, embedder) == lexsort_oracle(
+                vectors, query, k), (column, k)
+    for k in (1, 50, 51):
+        assert index.top_k("zero", k, embedder) == lexsort_oracle(vectors, np.zeros(8), k)
+
+
+def test_selection_over_the_first_rows_ignores_later_rows_in_every_column(cuts):
+    # the rows past the bound would rank first, in every query column
+    rng = np.random.default_rng(34)
+    vectors = tie_heavy_vectors(rng, 90)
+    for key in range(90, 100):
+        vectors[key] = np.array([1.0, 1.0, 1.0, 1.0])
+    embedder = FixtureEmbedder({"q": [1.0, 1.0, 1.0, 1.0]}, default=[0.0] * 4)
+    index = VectorIndex(dimension=4)
+    fill(index, embedder, vectors)
+    query = np.ones(4)
+    assert [key for key, _ in index.top_k("q", 10, embedder)] == list(range(90, 100))
+    for rows in (1, 7, 50, 89, 90, 93):
+        first = {key: vectors[key] for key in range(rows)}
+        for k in (1, 3, 10, 95):
+            got = index.top_k("q", k, embedder, rows=rows)
+            assert got == lexsort_oracle(first, query, k), (rows, k)
+    assert any(cut > 0.0 for cut in cuts)
+
+
+def test_selection_is_bit_equal_on_non_integer_fixture_weights(cuts):
+    # products and sums round: the scores must come from the same
+    # bincount over the same entries in the same order
+    rng = np.random.default_rng(35)
+    vectors = {}
+    for key in range(400):
+        values = np.zeros(12)
+        picked = rng.choice(12, size=rng.integers(1, 6), replace=False)
+        values[picked] = rng.normal(size=len(picked)) / 3.0
+        vectors[key] = values
+    embedder = FixtureEmbedder({}, default=[0.0] * 12)
+    index = VectorIndex(dimension=12)
+    fill(index, embedder, vectors)
+    for trial in range(30):
+        query = np.zeros(12)
+        picked = rng.choice(12, size=rng.integers(1, 5), replace=False)
+        query[picked] = rng.normal(size=len(picked)) * 1.7
+        embedder.add(f"q{trial}", query.tolist())
+        for k in (1, 5, 10, 399, 400):
+            for rows in (None, 333):
+                assert hexed(index.top_k(f"q{trial}", k, embedder, rows=rows)) == hexed(
+                    reference_top_k(index, embedder, f"q{trial}", k, rows)), (trial, k, rows)
+    assert any(cut > 0.0 for cut in cuts) and any(cut == 0.0 for cut in cuts)
+
+
+def test_top_k_equals_the_reference_on_every_benchmark_sub_question(tmp_path, monkeypatch):
+    # every retrieval a smoke reads-50k pool makes, on both indexes
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from perfbench.harness import Run
+    from perfbench.standin import StandInBackend
+    from perfbench.workloads import WORKLOADS
+
+    run = Run(WORKLOADS["reads-50k"].smoke(), 1, 0.01, False, tmp_path)
+    run.index()
+    run.load()
+    stores, embedder = run.stores, run.embedder
+    asked: list[str] = []
+    real_top_k = VectorIndex.top_k
+
+    def recording(self, query_text, *args, **kwargs):
+        asked.append(query_text)
+        return real_top_k(self, query_text, *args, **kwargs)
+
+    monkeypatch.setattr(VectorIndex, "top_k", recording)
+    gateway = Gateway(run.registry, StandInBackend())
+    for i, question in enumerate(run.inputs.questions):
+        solve(f"q{i}", question.question, Config(parallelism=1), stores, gateway, embedder)
+    monkeypatch.undo()
+    assert len(set(asked)) >= 2 * len(run.inputs.questions)
+    for text in sorted(set(asked)):
+        for index in (stores.triple_index, stores.passage_index):
+            for k in (1, 5, 10):
+                assert hexed(index.top_k(text, k, embedder)) == hexed(
+                    reference_top_k(index, embedder, text, k)), (text, k)
 
 
 # -- the bulk fill -----------------------------------------------------------
