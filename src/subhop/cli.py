@@ -27,7 +27,7 @@ from .gateway import Gateway
 from .indexer import build_graph_index, ingest_corpus
 from .kg import encode_record
 from .remote import RemoteBackend
-from .solver import solve, trace_to_json, write_trace
+from .solver import render_memory, solve, write_trace
 from .stores import load_graph, load_stores, save_stores, snapshot_exists, Stores
 from .stub import StubBackend, load_stub_script
 from .templates import TemplateRegistry
@@ -158,9 +158,8 @@ def cmd_ask(args: argparse.Namespace, config: Config) -> int:
     question_id = question_id_for(args.question)
     trace = solve(question_id, args.question, config, stores, gateway, embedder)
     print(trace.final_answer)
-    if args.show_memory:
-        for step, triple in trace.memory.entries:
-            print(f"step {step}: {triple.head} | {triple.relation} | {triple.tail}")
+    if args.show_memory and trace.memory:
+        print(render_memory(trace.memory))
     if args.trace:
         path = write_trace(trace, Path(config.run_dir) / "traces")
         print(f"trace: {path}")

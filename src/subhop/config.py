@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
+from .decompose import DEFAULT_MAX_SUBQUESTIONS
 from .errors import ConfigError, ParseError
+from .indexer import DEFAULT_CHAR_BUDGET
 from .records import read_json
 
 ENV_PREFIX = "SUBHOP_"
@@ -29,14 +31,14 @@ class Config:
     embedding_dim: int = 256
     k_triples: int = 5                 # triples retrieved per sub-question
     k_docs: int = 5                    # passages retrieved in the fallback
-    max_subquestions: int = 6
+    max_subquestions: int = DEFAULT_MAX_SUBQUESTIONS
     llm_budget: int = 25               # gateway calls per question
     parallelism: int = 4
     max_tokens: int = 512
     retry_limit: int = 3
     backoff_base: float = 0.5
     request_timeout: float = 30.0
-    extract_char_budget: int = 8000
+    extract_char_budget: int = DEFAULT_CHAR_BUDGET
     decomposition: bool = True         # ablation: False = single-element plans
     rewriting: bool = True             # ablation: False = literal substitution only
     graph_update: bool = True          # ablation: False = no fallback write-back

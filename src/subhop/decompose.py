@@ -37,9 +37,6 @@ class DecompositionPlan:
     degraded: bool = False
     warnings: list[str] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.sub_questions)
-
 
 def placeholder_refs(text: str) -> list[int]:
     return [int(m) for m in PLACEHOLDER_RE.findall(text)]
@@ -113,8 +110,8 @@ def rewrite(
     sub_question: str,
     answers: list[str],
     gateway: Gateway,
+    events: list[str],
     enabled: bool = True,
-    events: list[str] | None = None,
     text_refs: Collection[int] = (),
 ) -> str:
     """Turn a raw sub-question into a self-contained one, given the answers
@@ -140,13 +137,11 @@ def rewrite(
         response = gateway.complete(request)
     except LLM_FAILURES as exc:
         logger.warning("rewrite failed, using literal substitution: %s", exc)
-        if events is not None:
-            events.append("rewrite:llm_failure")
+        events.append("rewrite:llm_failure")
         return substituted
     rewritten = response.text.strip().strip('"')
     if not rewritten or set(placeholder_refs(rewritten)) - set(text_refs):
         logger.warning("rewrite output unusable, using literal substitution")
-        if events is not None:
-            events.append("rewrite:unusable_output")
+        events.append("rewrite:unusable_output")
         return substituted
     return rewritten

@@ -54,13 +54,6 @@ class Embedding:
         return cls(tuple(columns.tolist()), tuple(arr[columns].tolist()),
                    float(np.linalg.norm(arr)), len(arr))
 
-    @property
-    def values(self) -> np.ndarray:
-        """The dense vector."""
-        out = np.zeros(self.dimension, dtype=np.float64)
-        out[list(self.columns)] = self.weights
-        return out
-
 
 class Rows(NamedTuple):
     """Many embeddings as flat arrays: row i has ``counts[i]`` entries,
@@ -241,12 +234,3 @@ def make_embedder(name: str, dimension: int) -> Embedder:
     if name == "hash":
         return HashedBagEmbedder(dimension)
     raise ConfigError(f"unknown embedder {name!r} (available: hash)")
-
-
-def basis_vector(index: int, dimension: int) -> list[float]:
-    """Unit vector helper for fixture construction."""
-    if not 0 <= index < dimension:
-        raise ValueError("basis index out of range")
-    vec = [0.0] * dimension
-    vec[index] = 1.0
-    return vec

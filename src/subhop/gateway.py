@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Mapping, Protocol
 
 from .errors import BudgetExceeded, StructuredParseError
-from .stub import BackendResult
 from .templates import TemplateRegistry
 
 logger = logging.getLogger(__name__)
@@ -26,6 +25,16 @@ logger = logging.getLogger(__name__)
 JSON_RETRY_SUFFIX = "\n\nRespond with valid JSON only."
 
 _FENCE_RE = re.compile(r"^```[a-zA-Z]*\n(.*)\n```$", re.DOTALL)
+
+
+@dataclass(frozen=True)
+class BackendResult:
+    """One backend reply: its text, its token counts and the attempts it took."""
+
+    text: str
+    prompt_tokens: int
+    completion_tokens: int
+    attempts: int
 
 
 class Backend(Protocol):
@@ -87,12 +96,11 @@ class Gateway:
         registry: TemplateRegistry,
         backend: Backend,
         wire_log_path: str | Path | None = None,
-        budget: Budget | None = None,
         max_tokens: int = 512,
     ):
         self.registry = registry
         self.backend = backend
-        self.budget = budget
+        self.budget: Budget | None = None
         self.max_tokens = max_tokens
         self._wire_log = _WireLog(Path(wire_log_path)) if wire_log_path else None
 

@@ -2,12 +2,15 @@
 
 Speaks the common JSON-over-HTTP chat API: POST {model, messages,
 temperature, max_tokens} and read choices[0].message.content back.
-Transient failures (429, 5xx, network errors) retry with exponential
-backoff up to a configured limit; anything else fails immediately.
+Transient failures (429, 5xx, network errors, a reply that breaks off or
+is not HTTP) retry with exponential backoff up to a configured limit;
+anything else, a 200 reply whose body is not UTF-8 chat JSON included,
+fails immediately.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import threading
@@ -17,7 +20,7 @@ import urllib.request
 from typing import Callable, Mapping
 
 from .errors import BackendError
-from .stub import BackendResult
+from .gateway import BackendResult
 
 logger = logging.getLogger(__name__)
 
@@ -77,7 +80,7 @@ class RemoteBackend:
                 )
                 with self._semaphore:  # held per request, never across a backoff
                     with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                        body = resp.read().decode("utf-8")
+                        body = resp.read()
                 return self._parse(body, attempts)
             except urllib.error.HTTPError as exc:
                 last_status = exc.code
@@ -88,7 +91,8 @@ class RemoteBackend:
                     "backend returned %s for template %s (attempt %d/%d)",
                     exc.code, template, attempts, self.retry_limit + 1,
                 )
-            except (urllib.error.URLError, TimeoutError, OSError) as exc:
+            except (urllib.error.URLError, http.client.HTTPException, TimeoutError,
+                    OSError) as exc:
                 last_status = 0
                 last_body = str(exc)
                 logger.warning(
@@ -100,12 +104,13 @@ class RemoteBackend:
                 self._sleep(self.backoff_base * (2 ** (attempts - 1)))
         raise BackendError(last_status, last_body)
 
-    def _parse(self, body: str, attempts: int) -> BackendResult:
+    def _parse(self, body: bytes, attempts: int) -> BackendResult:
         try:
-            data = json.loads(body)
+            data = json.loads(body.decode("utf-8"))
             text = data["choices"][0]["message"]["content"]
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError):
-            raise BackendError(200, f"malformed completion payload: {body[:200]}") from None
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, IndexError, TypeError):
+            shown = body.decode("utf-8", errors="replace")[:200]
+            raise BackendError(200, f"malformed completion payload: {shown}") from None
         usage = data.get("usage")
         if not isinstance(usage, dict):
             usage = {}

@@ -21,7 +21,7 @@ from .embedders import Embedder
 from .errors import LLM_FAILURES, BudgetExceeded, EmptyField
 from .gateway import ChatRequest, Gateway
 from .indexer import DEFAULT_CHAR_BUDGET, TripleRow, extract_triples, passage_text
-from .kg import KnowledgeGraph, Triple
+from .kg import DYNAMIC_PREFIX, KnowledgeGraph, Triple
 from .stores import Stores
 from .vector import verbalize
 
@@ -55,22 +55,13 @@ class SubAnswer:
 
 
 @dataclass
-class GraphMemory:
-    """Ordered union of the triples used across steps, earliest step wins."""
-
-    entries: list[tuple[int, Triple]] = field(default_factory=list)
-
-    def ids(self) -> list[int]:
-        return [t.id for _, t in self.entries]
-
-
-@dataclass
 class QuestionTrace:
     question_id: str
     question: str
     plan: DecompositionPlan | None = None
     sub_answers: list[SubAnswer] = field(default_factory=list)
-    memory: GraphMemory = field(default_factory=GraphMemory)
+    # (step, triple) of each triple used, in the order assemble_graph_memory gives
+    memory: list[tuple[int, Triple]] = field(default_factory=list)
     final_answer: str = ""
     status: str = "ok"
     error: str | None = None
@@ -100,7 +91,7 @@ def answer_from_triples(
     question: str,
     candidates: list[tuple[Triple, float]],
     gateway: Gateway,
-    events: list[str] | None = None,
+    events: list[str],
 ) -> tuple[bool, str, list[int]]:
     """Ask the generator to answer from the candidate triples only.
 
@@ -123,8 +114,7 @@ def answer_from_triples(
         )
     except LLM_FAILURES:
         logger.warning("triple answering failed, treating as unanswerable")
-        if events is not None:
-            events.append("answer:llm_failure")
+        events.append("answer:llm_failure")
         return False, "", []
     rank = {t.id: pos for pos, (t, _) in enumerate(candidates)}
     used: list[int] = []
@@ -133,15 +123,13 @@ def answer_from_triples(
             used.append(triple_id)
         else:
             logger.warning("dropping reported evidence id %r not in candidates", triple_id)
-            if events is not None:
-                events.append("answer:evidence_filtered")
+            events.append("answer:evidence_filtered")
     used.sort(key=rank.__getitem__)
     answerable = bool(payload["answerable"])
     answer = payload["answer"].strip()
     if answerable and not used:
         logger.warning("answer claimed without evidence, coercing to unanswerable")
-        if events is not None:
-            events.append("answer:coerced_unanswerable")
+        events.append("answer:coerced_unanswerable")
         answerable = False
     if not answerable:
         return False, answer, []
@@ -154,7 +142,7 @@ def fallback_answer_from_docs(
     gateway: Gateway,
     embedder: Embedder,
     k_docs: int,
-    events: list[str] | None = None,
+    events: list[str],
     char_budget: int = DEFAULT_CHAR_BUDGET,
 ) -> tuple[str, FallbackEvent]:
     """Corpus-level fallback: retrieve passages, answer from them, and
@@ -163,8 +151,7 @@ def fallback_answer_from_docs(
     event = FallbackEvent()
     if len(stores.corpus) == 0:
         logger.warning("fallback requested with empty corpus")
-        if events is not None:
-            events.append("fallback:empty_corpus")
+        events.append("fallback:empty_corpus")
         event.document_answer = UNKNOWN_ANSWER
         return UNKNOWN_ANSWER, event
     hits = stores.passage_index.top_k(question, k_docs, embedder)
@@ -181,14 +168,12 @@ def fallback_answer_from_docs(
         answer = payload["answer"].strip() or UNKNOWN_ANSWER
     except LLM_FAILURES:
         logger.warning("document answering failed during fallback")
-        if events is not None:
-            events.append("fallback:answer_failure")
+        events.append("fallback:answer_failure")
     try:
         event.new_triples = extract_triples(doc_block, gateway, char_budget)
     except LLM_FAILURES:
         logger.warning("triple extraction failed during fallback")
-        if events is not None:
-            events.append("fallback:extract_failure")
+        events.append("fallback:extract_failure")
     event.document_answer = answer
     return answer, event
 
@@ -199,7 +184,7 @@ def update_graph_with_new_triples(
     question_id: str,
     step: int,
     embedder: Embedder,
-) -> FallbackEvent:
+) -> None:
     """Write validated fallback triples into the graph and the triple
     index, holding ``stores.write_lock``, so write-backs run one at a time
     while retrievals go on without a lock. Duplicates are silently
@@ -228,15 +213,14 @@ def update_graph_with_new_triples(
                 continue
             triple_index.extend([verbalize(*fields)], embedder)
             triple_id, _ = graph.insert(
-                *fields, provenance=f"dynamic:{question_id}", step=step
+                *fields, provenance=f"{DYNAMIC_PREFIX}{question_id}", step=step
             )
             event.written_back_ids.append(triple_id)
-    return event
 
 
 def assemble_graph_memory(
     sub_answers: list[SubAnswer], graph: KnowledgeGraph
-) -> GraphMemory:
+) -> list[tuple[int, Triple]]:
     """Ordered union of used triples: by sub-question index, then by that
     step's retrieval rank, deduplicated by id keeping the earliest step."""
     entries: list[tuple[int, Triple]] = []
@@ -247,19 +231,17 @@ def assemble_graph_memory(
                 continue
             seen.add(triple_id)
             entries.append((sub.index, graph.lookup(triple_id)))
-    return GraphMemory(entries)
+    return entries
 
 
-def render_memory(memory: GraphMemory) -> str:
-    if not memory.entries:
+def render_memory(memory: list[tuple[int, Triple]]) -> str:
+    if not memory:
         return EMPTY_MEMORY_MARKER
-    return "\n".join(
-        f"step {step}: {t.head} | {t.relation} | {t.tail}" for step, t in memory.entries
-    )
+    return "\n".join(f"step {step}: {t.head} | {t.relation} | {t.tail}" for step, t in memory)
 
 
 def generate_final_answer(
-    question: str, memory: GraphMemory, gateway: Gateway
+    question: str, memory: list[tuple[int, Triple]], gateway: Gateway
 ) -> str:
     """Final generation over the graph memory. An empty memory still makes
     the call, with an explicit no-evidence marker, so the behavior stays
@@ -337,17 +319,17 @@ def _solve_step(
     embedder: Embedder,
 ) -> SubAnswer:
     events: list[str] = []
-    rewritten = rewrite(sub_question, answers, gw, enabled=config.rewriting, events=events,
+    rewritten = rewrite(sub_question, answers, gw, events, enabled=config.rewriting,
                         text_refs=text_refs)
 
     hits, candidates = retrieve_for_subquestion(rewritten, stores, config.k_triples, embedder)
-    answerable, answer, used = answer_from_triples(rewritten, candidates, gw, events=events)
+    answerable, answer, used = answer_from_triples(rewritten, candidates, gw, events)
 
     fallback: FallbackEvent | None = None
     retrieved_after: list[tuple[int, float]] | None = None
     if not answerable:
         doc_answer, fallback = fallback_answer_from_docs(
-            rewritten, stores, gw, embedder, config.k_docs, events=events,
+            rewritten, stores, gw, embedder, config.k_docs, events,
             char_budget=config.extract_char_budget,
         )
         if config.graph_update:
@@ -359,9 +341,7 @@ def _solve_step(
             retrieved_after, candidates = retrieve_for_subquestion(
                 rewritten, stores, config.k_triples, embedder
             )
-            answerable, answer2, used2 = answer_from_triples(
-                rewritten, candidates, gw, events=events
-            )
+            answerable, answer2, used2 = answer_from_triples(rewritten, candidates, gw, events)
             if answerable:
                 answer, used = answer2, used2
         if not answerable:
@@ -438,7 +418,7 @@ def trace_to_dict(trace: QuestionTrace) -> dict:
                 "relation": triple.relation,
                 "tail": triple.tail,
             }
-            for step, triple in trace.memory.entries
+            for step, triple in trace.memory
         ],
         "final_answer": trace.final_answer,
         "events": list(trace.events),

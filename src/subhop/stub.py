@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import ParseError, StubExhausted
+from .gateway import BackendResult
 from .records import read_json
 
 
@@ -36,14 +37,6 @@ class StubRule:
         if self.contains is None:
             return True
         return any(self.contains in str(v) for v in variables.values())
-
-
-@dataclass(frozen=True)
-class BackendResult:
-    text: str
-    prompt_tokens: int
-    completion_tokens: int
-    attempts: int
 
 
 class StubBackend:
@@ -107,17 +100,3 @@ def load_stub_script(path: str | Path) -> list[StubRule]:
             )
         )
     return rules
-
-
-def dump_stub_script(rules: list[StubRule], path: str | Path) -> None:
-    entries = []
-    for r in rules:
-        entry: dict[str, object] = {"template": r.template, "response": r.response}
-        if r.contains is not None:
-            entry["contains"] = r.contains
-        if r.repeat:
-            entry["repeat"] = True
-        entries.append(entry)
-    Path(path).write_text(
-        json.dumps(entries, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )

@@ -10,13 +10,15 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+import numpy as np
+
 from subhop.config import Config
-from subhop.embedders import Embedder, FixtureEmbedder, HashedBagEmbedder, basis_vector
+from subhop.embedders import Embedder, Embedding, FixtureEmbedder, HashedBagEmbedder
 from subhop.gateway import Gateway
 from subhop.indexer import build_graph_index, embed_indexes, ingest_corpus
 from subhop.kg import KnowledgeGraph
 from subhop.stores import Stores, save_stores
-from subhop.stub import StubBackend, StubRule, dump_stub_script, rule
+from subhop.stub import StubBackend, StubRule, rule
 from subhop.templates import TemplateRegistry
 from subhop.vector import VectorIndex
 
@@ -39,6 +41,22 @@ class RecordingStub(StubBackend):
 
 def stub_gateway(rules: list[StubRule]) -> Gateway:
     return Gateway(REGISTRY, RecordingStub(rules))
+
+
+def basis_vector(index: int, dimension: int) -> list[float]:
+    """Unit vector helper for fixture construction."""
+    if not 0 <= index < dimension:
+        raise ValueError("basis index out of range")
+    vec = [0.0] * dimension
+    vec[index] = 1.0
+    return vec
+
+
+def dense(embedding: Embedding) -> np.ndarray:
+    """The dense vector of an embedding."""
+    out = np.zeros(embedding.dimension, dtype=np.float64)
+    out[list(embedding.columns)] = embedding.weights
+    return out
 
 
 # -- independent oracles -----------------------------------------------------
@@ -105,9 +123,12 @@ def oracle_token_overlap(pred: list[str], gold: list[str]) -> int:
 
 
 class MockChatServer:
-    """Plays back a list of (status, text-or-error) responses in order."""
+    """Plays back a list of responses in order. A ``(status, text)`` entry
+    is a chat completion of ``text`` (status 200) or an error body; a
+    ``bytes`` entry is written to the socket as the whole reply, status
+    line and headers included, and the connection is closed."""
 
-    def __init__(self, script: list[tuple[int, str]]):
+    def __init__(self, script: list[tuple[int, str] | bytes]):
         self.script = list(script)
         self.requests: list[dict] = []
         lock = threading.Lock()
@@ -119,9 +140,12 @@ class MockChatServer:
                 body = json.loads(self.rfile.read(length)) if length else {}
                 with lock:
                     outer.requests.append(body)
-                    status, text = (
-                        outer.script.pop(0) if outer.script else (500, "exhausted")
-                    )
+                    entry = outer.script.pop(0) if outer.script else (500, "exhausted")
+                if isinstance(entry, bytes):
+                    self.wfile.write(entry)
+                    self.close_connection = True
+                    return
+                status, text = entry
                 if status == 200:
                     payload = {
                         "choices": [{"message": {"content": text}}],
@@ -154,6 +178,13 @@ class MockChatServer:
     def __exit__(self, *exc) -> None:
         self._server.shutdown()
         self._server.server_close()
+
+
+def raw_reply(body: bytes, length: int | None = None) -> bytes:
+    """A raw HTTP 200 reply carrying ``body`` under a ``Content-Length``
+    of ``length`` bytes (default: the body's own length)."""
+    length = len(body) if length is None else length
+    return b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n" % length + body
 
 
 # -- two-hop fixture world ---------------------------------------------------
@@ -396,5 +427,14 @@ def fresh_rules(rules: list[StubRule]) -> list[StubRule]:
 
 
 def write_script(path: Path, rules: list[StubRule]) -> Path:
-    dump_stub_script(rules, path)
+    """Write ``rules`` as a stub script file that ``load_stub_script`` reads."""
+    entries = []
+    for r in rules:
+        entry: dict[str, object] = {"template": r.template, "response": r.response}
+        if r.contains is not None:
+            entry["contains"] = r.contains
+        if r.repeat:
+            entry["repeat"] = True
+        entries.append(entry)
+    path.write_text(json.dumps(entries, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
     return path

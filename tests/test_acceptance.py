@@ -12,7 +12,7 @@ import pytest
 from subhop.benchmark import load_dataset, run_benchmark
 from subhop.cli import run
 from subhop.config import Config, load_config
-from subhop.embedders import FixtureEmbedder, HashedBagEmbedder, basis_vector
+from subhop.embedders import FixtureEmbedder, HashedBagEmbedder
 from subhop.kg import KnowledgeGraph
 from subhop.metrics import exact_match, token_f1
 from subhop.solver import (
@@ -31,6 +31,7 @@ from helpers import (
     TWO_HOP_QID,
     TWO_HOP_QUESTION,
     append_row,
+    basis_vector,
     build_benchmark_fixture,
     build_benchmark_world,
     build_two_hop_world,
@@ -162,9 +163,10 @@ def test_memory_set_identity():
         union = set()
         for sub in subs:
             union |= set(sub.used_triple_ids)
-        assert set(memory.ids()) == union
-        assert len(memory.ids()) == len(set(memory.ids()))
-        for step, triple in memory.entries:
+        ids = [t.id for _, t in memory]
+        assert set(ids) == union
+        assert len(ids) == len(set(ids))
+        for step, triple in memory:
             assert step == min(s.index for s in subs if triple.id in s.used_triple_ids)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"memory identity suite took {elapsed:.1f}s"

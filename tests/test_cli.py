@@ -19,8 +19,11 @@ from subhop.solver import validate_trace_dict
 from subhop.stub import rule
 
 from helpers import (
+    REGISTRY,
     TWO_HOP_CORPUS,
     TWO_HOP_QUESTION,
+    MockChatServer,
+    raw_reply,
     two_hop_ask_rules,
     two_hop_index_rules,
     write_corpus,
@@ -107,18 +110,27 @@ def test_ask_two_hop(env, capsys):
     assert out.splitlines()[0] == "Emma Thomas"
 
 
-def test_ask_trace_and_memory(env, capsys):
+def test_ask_trace_and_memory(env, capsys, monkeypatch):
     do_index(env)
     capsys.readouterr()
+    wire_log = env["tmp"] / "wire.jsonl"
+    monkeypatch.setenv("SUBHOP_WIRE_LOG", str(wire_log))
     code = run(base_args(env, "ask_script")
                + ["ask", TWO_HOP_QUESTION, "--trace", "--show-memory"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "Emma Thomas" in out
-    assert "Christopher Nolan | spouse | Emma Thomas" in out
-    trace_line = [line for line in out.splitlines() if line.startswith("trace: ")][0]
-    trace_path = trace_line.removeprefix("trace: ")
-    data = json.loads(open(trace_path, encoding="utf-8").read())
+    # the memory lines are the block that the final-answer prompt carried
+    entries = map(json.loads, wire_log.read_text(encoding="utf-8").splitlines())
+    prompt = [e["prompt"] for e in entries if e["template"] == "final_answer"][0]
+    before, after = REGISTRY.render(
+        "final_answer", {"question": TWO_HOP_QUESTION, "memory": "\0"}).split("\0")
+    assert prompt.startswith(before) and prompt.endswith(after)
+    memory = prompt[len(before): len(prompt) - len(after)]
+    assert memory == ("step 1: Inception | directed by | Christopher Nolan\n"
+                      "step 2: Christopher Nolan | spouse | Emma Thomas")
+    trace_path = env["runs"] / "traces" / f"{cli.question_id_for(TWO_HOP_QUESTION)}.json"
+    assert out == f"Emma Thomas\n{memory}\ntrace: {trace_path}\n"
+    data = json.loads(trace_path.read_text(encoding="utf-8"))
     validate_trace_dict(data)
     assert data["final_answer"] == "Emma Thomas"
     dynamic = [t for t in data["memory"] if t["relation"] == "spouse"]
@@ -445,6 +457,15 @@ def test_index_corpus_that_is_not_utf8_exits_4(env, capsys):
     env["corpus"].write_bytes(b'{"id": "d1", "text": "caf\xe9"}\n')
     assert do_index(env) == 4
     assert "not UTF-8 text (line 1)" in capsys.readouterr().err
+
+
+def test_index_against_a_reply_that_is_not_utf8_exits_4(env, capsys):
+    with MockChatServer([raw_reply(b"\xff\xfe")] * len(TWO_HOP_CORPUS)) as server:
+        code = run(["--snapshot-dir", str(env["snapshot"]), "--backend", "remote",
+                    "--endpoint", server.endpoint, "index", "--corpus", str(env["corpus"])])
+    assert code == 4
+    assert "malformed completion payload" in capsys.readouterr().err
+    assert not (env["snapshot"] / "manifest.json").exists()
 
 
 def test_index_with_a_template_that_is_not_utf8_exits_4(env, capsys):

@@ -23,7 +23,7 @@ def test_decompose_two_hop_plan():
     plan = decompose("Who is the spouse of the director of Inception?", gw)
     assert plan.sub_questions == ["Who directed Inception?", "Who is the spouse of #1?"]
     assert not plan.degraded
-    assert len(plan) == 2
+    assert len(plan.sub_questions) == 2
 
 
 def test_forward_reference_degrades_to_single_plan():
@@ -43,7 +43,7 @@ def test_self_reference_in_first_step_degrades():
 def test_plan_truncated_to_cap():
     gw = stub_gateway([rule("decompose", [f"step {i}?" for i in range(1, 9)])])
     plan = decompose("big question", gw, cap=6)
-    assert len(plan) == 6
+    assert len(plan.sub_questions) == 6
     assert "decompose:truncated" in plan.warnings
     assert not plan.degraded
 
@@ -92,7 +92,7 @@ def test_decompose_rejects_empty_question():
 
 def test_rewrite_substitutes_and_smooths():
     gw = stub_gateway([rule("rewrite", "Who is the spouse of Christopher Nolan?")])
-    out = rewrite("Who is the spouse of #1?", ["Christopher Nolan"], gw)
+    out = rewrite("Who is the spouse of #1?", ["Christopher Nolan"], gw, [])
     assert out == "Who is the spouse of Christopher Nolan?"
     # the prompt carried the literal substitution
     assert "spouse of Christopher Nolan" in gw.backend.log[0]["prompt"]
@@ -101,19 +101,19 @@ def test_rewrite_substitutes_and_smooths():
 def test_rewrite_identity_without_placeholders_or_context():
     gw = stub_gateway([])  # any LLM call would raise StubExhausted
     events = []
-    assert rewrite("Who directed Inception?", [], gw, events=events) == "Who directed Inception?"
+    assert rewrite("Who directed Inception?", [], gw, events) == "Who directed Inception?"
     assert gw.backend.log == [] and events == []
 
 
 def test_rewrite_leaves_unanswered_placeholder_as_text():
     gw = stub_gateway([])
-    assert rewrite("Spouse of #2?", ["X"], gw, enabled=False) == "Spouse of #2?"
+    assert rewrite("Spouse of #2?", ["X"], gw, [], enabled=False) == "Spouse of #2?"
     assert gw.backend.log == []
 
 
 def test_rewrite_with_context_but_no_placeholder_still_calls_llm():
     gw = stub_gateway([rule("rewrite", "Standalone question about Nolan?")])
-    out = rewrite("And their spouse?", ["Christopher Nolan"], gw)
+    out = rewrite("And their spouse?", ["Christopher Nolan"], gw, [])
     assert out == "Standalone question about Nolan?"
     assert len(gw.backend.log) == 1
 
@@ -121,21 +121,21 @@ def test_rewrite_with_context_but_no_placeholder_still_calls_llm():
 def test_rewrite_llm_failure_returns_substitution():
     gw = stub_gateway([])  # exhausted stub = LLM failure
     events = []
-    out = rewrite("Spouse of #1?", ["Nolan"], gw, events=events)
+    out = rewrite("Spouse of #1?", ["Nolan"], gw, events)
     assert out == "Spouse of Nolan?"
     assert events == ["rewrite:llm_failure"]
 
 
 def test_rewrite_disabled_is_literal_substitution_only():
     gw = stub_gateway([])
-    out = rewrite("Spouse of #1?", ["Nolan"], gw, enabled=False)
+    out = rewrite("Spouse of #1?", ["Nolan"], gw, [], enabled=False)
     assert out == "Spouse of Nolan?"
     assert gw.backend.log == []
 
 
 def test_rewrite_output_with_leftover_placeholder_falls_back():
     gw = stub_gateway([rule("rewrite", "Still talking about #1?")])
-    out = rewrite("Spouse of #1?", ["Nolan"], gw)
+    out = rewrite("Spouse of #1?", ["Nolan"], gw, [])
     assert out == "Spouse of Nolan?"
 
 
@@ -144,7 +144,7 @@ def test_rewrite_output_keeps_only_refs_the_question_holds(text_refs, accepted):
     smoothed = "Who wrote the #1 hit Believe?"
     gw = stub_gateway([rule("rewrite", smoothed)])
     events = []
-    out = rewrite("Who wrote #1?", ["Believe"], gw, events=events, text_refs=text_refs)
+    out = rewrite("Who wrote #1?", ["Believe"], gw, events, text_refs=text_refs)
     assert out == (smoothed if accepted else "Who wrote Believe?")
     assert events == ([] if accepted else ["rewrite:unusable_output"])
 
@@ -158,7 +158,7 @@ def test_rewrite_empty_context_is_identity_property():
             chars.insert(rng.randrange(21), f"#{rng.randint(0, 12)}")
         text = "".join(chars)
         events = []
-        assert rewrite(text, [], gw, events=events) == text
+        assert rewrite(text, [], gw, events) == text
         assert events == []  # no failed call to the exhausted stub either
     assert gw.backend.log == []
 
@@ -169,7 +169,7 @@ def test_rewritten_output_never_contains_placeholders_property():
         refs = sorted(rng.sample(range(1, 6), k=rng.randint(1, 3)))
         answers = [f"answer{i}" for i in range(1, max(refs) + 1)]
         question = "what about " + " and ".join(f"#{j}" for j in refs) + "?"
-        out = rewrite(question, answers, stub_gateway([]), enabled=True)
+        out = rewrite(question, answers, stub_gateway([]), [], enabled=True)
         assert not placeholder_refs(out)
 
 
@@ -187,4 +187,4 @@ def test_plan_dataclass_shape():
     plan = single_question_plan("q", cap=6)
     assert isinstance(plan, DecompositionPlan)
     assert plan.original_question == "q"
-    assert len(plan) == 1
+    assert len(plan.sub_questions) == 1

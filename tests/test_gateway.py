@@ -19,7 +19,7 @@ from subhop.remote import RemoteBackend
 from subhop.stub import StubBackend, load_stub_script, rule
 from subhop.templates import TEMPLATE_NAMES, TemplateRegistry
 
-from helpers import REGISTRY, MockChatServer, stub_gateway
+from helpers import REGISTRY, MockChatServer, raw_reply, stub_gateway
 
 
 DECOMPOSE_TEXT = "1. Who directed Inception?\n2. Who is the spouse of #1?"
@@ -322,14 +322,41 @@ def test_remote_frees_in_flight_slot_while_backing_off():
 
 
 def test_remote_malformed_completion_payload():
-    with MockChatServer([(200, "ok")]) as server:
-        backend, _ = _remote(server.endpoint)
-        # break the payload shape by pointing at a non-chat endpoint response:
-        # simulate via a second scripted response with bad JSON shape
-        server.script.insert(0, (200, "ok"))
-    # shape errors are covered through _parse directly
-    with pytest.raises(BackendError):
-        backend._parse('{"nope": 1}', attempts=1)
+    backend, _ = _remote("http://localhost:1/v1")
+    with pytest.raises(BackendError) as exc:
+        backend._parse(b'{"nope": 1}', attempts=1)
+    assert exc.value.status == 200
+
+
+def test_remote_body_that_is_not_utf8_fails_without_retry():
+    with MockChatServer([raw_reply(b'{"choices": "\xff"}'), (200, "ok")]) as server:
+        backend, delays = _remote(server.endpoint)
+        with pytest.raises(BackendError, match="malformed completion payload") as exc:
+            backend.send("final_answer", "p", {}, 0.0, 16)
+        assert len(server.requests) == 1
+    assert exc.value.status == 200
+    assert delays == []
+
+
+_CHAT_OK = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
+
+
+@pytest.mark.parametrize("reply", [
+    raw_reply(_CHAT_OK[:10], length=len(_CHAT_OK)),  # the body breaks off
+    b"not an HTTP reply\r\n\r\n",
+], ids=["incomplete-body", "not-http"])
+def test_remote_retries_a_broken_reply_like_a_network_error(reply):
+    with MockChatServer([reply, (200, "ok")]) as server:
+        backend, delays = _remote(server.endpoint)
+        result = backend.send("final_answer", "p", {}, 0.0, 16)
+    assert (result.text, result.attempts, len(delays)) == ("ok", 2, 1)
+    with MockChatServer([reply] * 4) as server:
+        backend, delays = _remote(server.endpoint)
+        with pytest.raises(BackendError) as exc:
+            backend.send("final_answer", "p", {}, 0.0, 16)
+        assert len(server.requests) == 4
+    assert exc.value.status == 0
+    assert len(delays) == 3
 
 
 @pytest.mark.parametrize("usage", [
@@ -339,10 +366,10 @@ def test_remote_malformed_completion_payload():
 def test_remote_malformed_usage_reads_as_zero_tokens(usage):
     backend = RemoteBackend(endpoint="http://localhost:1/v1", model="m")
     payload = {"choices": [{"message": {"content": "ok"}}], "usage": usage}
-    result = backend._parse(json.dumps(payload), attempts=1)
+    result = backend._parse(json.dumps(payload).encode(), attempts=1)
     assert (result.text, result.prompt_tokens, result.completion_tokens) == ("ok", 0, 0)
     payload["usage"] = {"prompt_tokens": 5, "completion_tokens": 2}
-    result = backend._parse(json.dumps(payload), attempts=1)
+    result = backend._parse(json.dumps(payload).encode(), attempts=1)
     assert (result.prompt_tokens, result.completion_tokens) == (5, 2)
 
 

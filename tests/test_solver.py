@@ -3,7 +3,7 @@ import random
 import pytest
 
 from subhop.config import Config
-from subhop.embedders import Embedding, FixtureEmbedder, basis_vector
+from subhop.embedders import Embedding, FixtureEmbedder
 from subhop.errors import DimensionMismatch, UnknownId
 from subhop.indexer import Corpus, split_for_extraction
 from subhop.kg import KnowledgeGraph
@@ -31,6 +31,7 @@ from helpers import (
     TWO_HOP_QID,
     TWO_HOP_QUESTION,
     append_row,
+    basis_vector,
     build_two_hop_world,
     index_rows,
     stub_gateway,
@@ -79,7 +80,7 @@ def test_answer_from_triples_happy_path():
              {"answerable": True, "answer": "Christopher Nolan", "used_triple_ids": [0]}),
     ])
     answerable, answer, used = answer_from_triples(
-        "Who directed Inception?", _candidates(graph, [(0, 1.0)]), gw
+        "Who directed Inception?", _candidates(graph, [(0, 1.0)]), gw, []
     )
     assert (answerable, answer, used) == (True, "Christopher Nolan", [0])
     assert "0. Inception | directed by | Christopher Nolan" in gw.backend.log[0]["prompt"]
@@ -87,7 +88,7 @@ def test_answer_from_triples_happy_path():
 
 def test_answer_from_triples_empty_candidates_no_llm_call():
     gw = stub_gateway([])
-    assert answer_from_triples("q", [], gw) == (False, "", [])
+    assert answer_from_triples("q", [], gw, []) == (False, "", [])
     assert gw.backend.log == []
 
 
@@ -100,7 +101,7 @@ def test_answer_from_triples_filters_foreign_ids_and_coerces():
     ])
     events = []
     answerable, answer, used = answer_from_triples(
-        "q", _candidates(graph, [(0, 0.5)]), gw, events=events
+        "q", _candidates(graph, [(0, 0.5)]), gw, events
     )
     assert (answerable, used) == (False, [])
     assert "answer:coerced_unanswerable" in events
@@ -118,9 +119,9 @@ def test_answer_from_triples_drops_boolean_ids():
              {"answerable": True, "answer": "x", "used_triple_ids": [False, 1]}),
     ])
     events = []
-    assert answer_from_triples("q", candidates, gw, events=events) == (False, "x", [])
+    assert answer_from_triples("q", candidates, gw, events) == (False, "x", [])
     assert events == ["answer:evidence_filtered", "answer:coerced_unanswerable"]
-    result = answer_from_triples("q", candidates, gw)
+    result = answer_from_triples("q", candidates, gw, [])
     assert result == (True, "x", [1]) and type(result[2][0]) is int
 
 
@@ -133,7 +134,7 @@ def test_answer_from_triples_orders_used_ids_by_rank():
              {"answerable": True, "answer": "x", "used_triple_ids": [0, 2]}),
     ])
     # candidate rank order: 2 first, then 0
-    _, _, used = answer_from_triples("q", _candidates(graph, [(2, 0.9), (0, 0.1)]), gw)
+    _, _, used = answer_from_triples("q", _candidates(graph, [(2, 0.9), (0, 0.1)]), gw, [])
     assert used == [2, 0]
 
 
@@ -144,7 +145,7 @@ def test_answer_from_triples_parse_failure_is_unanswerable():
         rule("answer_from_triples", "prose"),
         rule("answer_from_triples", "more prose"),
     ])
-    assert answer_from_triples("q", _candidates(graph, [(0, 1.0)]), gw) == (False, "", [])
+    assert answer_from_triples("q", _candidates(graph, [(0, 1.0)]), gw, []) == (False, "", [])
 
 
 def test_fallback_answer_from_docs(tmp_path):
@@ -154,7 +155,7 @@ def test_fallback_answer_from_docs(tmp_path):
         rule("extract_triples", [["Christopher Nolan", "spouse", "Emma Thomas"]]),
     ])
     answer, event = fallback_answer_from_docs(
-        "Who is the spouse of Christopher Nolan?", world.stores, gw, world.embedder, 5
+        "Who is the spouse of Christopher Nolan?", world.stores, gw, world.embedder, 5, []
     )
     assert answer == "Emma Thomas"
     assert event.retrieved_doc_ids[0] == "d2"
@@ -172,7 +173,7 @@ def test_fallback_extracts_the_document_block_per_chunk(tmp_path):
             rule("extract_triples", [["A", "r", "B"]], repeat=True),
         ])
         _, event = fallback_answer_from_docs(
-            question, world.stores, gw, world.embedder, 3, **budget
+            question, world.stores, gw, world.embedder, 3, [], **budget
         )
         prompts = [e["prompt"] for e in gw.backend.log if e["template"] == "extract_triples"]
         assert event.new_triples == [("A", "r", "B")] * len(prompts)
@@ -195,7 +196,7 @@ def test_fallback_empty_corpus(tmp_path):
     world.stores.corpus.documents.clear()
     events = []
     answer, event = fallback_answer_from_docs(
-        "q?", world.stores, stub_gateway([]), world.embedder, 5, events=events
+        "q?", world.stores, stub_gateway([]), world.embedder, 5, events
     )
     assert answer == "UNKNOWN"
     assert event.retrieved_doc_ids == [] and event.new_triples == []
@@ -207,7 +208,7 @@ def test_fallback_llm_failure_records_event(tmp_path):
     world.embedder.add("weird question", basis_vector(6, 8))
     events = []
     answer, event = fallback_answer_from_docs(
-        "weird question", world.stores, stub_gateway([]), world.embedder, 2, events=events
+        "weird question", world.stores, stub_gateway([]), world.embedder, 2, events
     )
     assert answer == "UNKNOWN"
     assert event.new_triples == []
@@ -312,13 +313,12 @@ def test_assemble_graph_memory_earliest_attribution():
     for i in range(10):
         graph.insert(f"H{i}", "r", f"T{i}", "doc:d", 0)
     memory = assemble_graph_memory([_sub(1, [3]), _sub(2, [3, 7])], graph)
-    assert memory.ids() == [3, 7]
-    assert [(step, t.id) for step, t in memory.entries] == [(1, 3), (2, 7)]
+    assert [(step, t.id) for step, t in memory] == [(1, 3), (2, 7)]
 
 
 def test_assemble_graph_memory_empty():
     memory = assemble_graph_memory([_sub(1, []), _sub(2, [])], KnowledgeGraph())
-    assert memory.ids() == []
+    assert memory == []
     assert render_memory(memory) == "(no evidence retrieved)"
 
 
@@ -339,10 +339,11 @@ def test_memory_id_set_equals_union_property():
             subs.append(_sub(step, ids))
         memory = assemble_graph_memory(subs, graph)
         union = set().union(*[set(s.used_triple_ids) for s in subs]) if subs else set()
-        assert set(memory.ids()) == union
-        assert len(memory.ids()) == len(set(memory.ids()))
+        ids = [t.id for _, t in memory]
+        assert set(ids) == union
+        assert len(ids) == len(set(ids))
         # earliest attribution: a triple's step is the first step listing it
-        for step, triple in memory.entries:
+        for step, triple in memory:
             first = min(s.index for s in subs if triple.id in s.used_triple_ids)
             assert step == first
 
@@ -362,16 +363,12 @@ def test_generate_final_answer_renders_memory():
 
 def test_generate_final_answer_empty_memory_still_calls():
     gw = stub_gateway([rule("final_answer", "UNKNOWN")])
-    from subhop.solver import GraphMemory
-
-    assert generate_final_answer("q", GraphMemory(), gw) == "UNKNOWN"
+    assert generate_final_answer("q", [], gw) == "UNKNOWN"
     assert "(no evidence retrieved)" in gw.backend.log[0]["prompt"]
 
 
 def test_generate_final_answer_llm_failure():
-    from subhop.solver import GraphMemory
-
-    assert generate_final_answer("q", GraphMemory(), stub_gateway([])) == "UNKNOWN"
+    assert generate_final_answer("q", [], stub_gateway([])) == "UNKNOWN"
 
 
 # -- end-to-end solve --------------------------------------------------------
@@ -404,7 +401,7 @@ def test_solve_two_hop_fixture(tmp_path):
     assert new_triple.provenance == f"dynamic:{TWO_HOP_QID}"
     assert new_triple.created_at_step == 2
 
-    assert trace.memory.ids() == [0, 3]
+    assert [t.id for _, t in trace.memory] == [0, 3]
     assert trace.llm_calls == 8
     assert trace.prompt_tokens > 0
 
@@ -422,7 +419,7 @@ def test_solve_single_hop_from_graph(tmp_path):
     assert trace.status == "ok"
     assert len(trace.sub_answers) == 1
     assert trace.sub_answers[0].fallback is None
-    assert trace.memory.ids() == [0]
+    assert [t.id for _, t in trace.memory] == [0]
     assert trace.final_answer == "Christopher Nolan"
     assert trace.llm_calls == 3
 

@@ -39,6 +39,7 @@ from helpers import (
     build_benchmark_fixture,
     build_benchmark_world,
     build_two_hop_world,
+    dense,
     fresh_rules,
     index_rows,
     stub_gateway,
@@ -115,7 +116,7 @@ def test_readers_get_exact_scores_while_a_writer_grows_the_index(monkeypatch):
                     failures.append(f"unknown key {key}")
                     continue
                 row = embedder.embed(texts[key])
-                want = float(row.values @ query.values) / (row.norm * query.norm)
+                want = float(dense(row) @ dense(query)) / (row.norm * query.norm)
                 if abs(score - want) > 1e-12:
                     failures.append(f"key {key}: score {score} != {want}")
 

@@ -23,6 +23,7 @@ from subhop.vector import EXTEND_CHUNK, VectorIndex, verbalize_triple
 from helpers import (
     TWO_HOP_CORPUS,
     append_row,
+    dense,
     index_rows,
     oracle_cosine_top_k,
     save_hash_snapshot,
@@ -521,7 +522,7 @@ def test_cancelling_hash_tokens_store_no_zero_weight():
     bucket = next(b for b, w in by_bucket if (b, -w) in by_bucket)
     text = f"{by_bucket[(bucket, 1.0)]} {by_bucket[(bucket, -1.0)]}"
     emb = embedder.embed(text)
-    assert bucket not in emb.columns and emb.values[bucket] == 0.0
+    assert bucket not in emb.columns and dense(emb)[bucket] == 0.0
     index = VectorIndex(dimension=4)
     index.extend([text], embedder)
     assert index._fill[bucket] == 0
@@ -549,7 +550,7 @@ def test_hash_embedding_equals_the_dense_reference():
             text = " ".join(rng.choice(words) for _ in range(rng.randrange(12)))
             want = reference(text, dimension)
             emb = embedder.embed(text)
-            assert emb.values.tobytes() == want.tobytes()
+            assert dense(emb).tobytes() == want.tobytes()
             assert list(emb.columns) == np.flatnonzero(want).tolist()
             assert emb.norm.hex() == float(np.linalg.norm(want)).hex()
 
