@@ -1,18 +1,24 @@
 """Per-question solving loop.
 
-For each sub-question: rewrite, retrieve top-k triples, try to answer
-from them alone. If the graph is insufficient, fall back to passage
-retrieval, answer from documents, extract the new facts, write them back
-into the graph, and retry answering from the refreshed graph exactly
-once. Every triple actually used is collected into an ordered, id-unique
-graph memory that grounds the final answer.
+Each sub-question runs in up to three stages:
+
+- read: rewrite, retrieve top-k triples, try to answer from them alone;
+- fallback, if the graph is insufficient: passage retrieval, an answer
+  from the documents and extraction of their facts; it reads only the
+  corpus and the passage index;
+- commit: write the new facts back into the graph and, if any landed,
+  retry answering from the refreshed graph exactly once. It is the only
+  stage that writes the graph and the triple index.
+
+Every triple actually used is collected into an ordered, id-unique graph
+memory that grounds the final answer.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .config import Config
@@ -40,17 +46,18 @@ class FallbackEvent:
     document_answer: str = ""
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SubAnswer:
+    # fields in the trace's key order: trace_to_dict serializes them as they are
     index: int
     sub_question: str
     rewritten_question: str
     retrieved: list[tuple[int, float]]
+    retrieved_after_update: list[tuple[int, float]] | None = None
     answerable_from_graph: bool
     answer: str
     used_triple_ids: list[int]
     fallback: FallbackEvent | None = None
-    retrieved_after_update: list[tuple[int, float]] | None = None
     events: list[str] = field(default_factory=list)
 
 
@@ -92,8 +99,10 @@ def answer_from_triples(
     candidates: list[tuple[Triple, float]],
     gateway: Gateway,
     events: list[str],
-) -> tuple[bool, str, list[int]]:
-    """Ask the generator to answer from the candidate triples only.
+) -> tuple[str, list[int]]:
+    """Ask the generator to answer from the candidate triples only; the
+    answer text and the ids it cites. The question is answered exactly
+    when the cited ids are not empty.
 
     Evidence discipline: reported triple ids outside the candidate set are
     filtered, as are ids that are not integers (JSON ``true`` is not 1), and
@@ -101,7 +110,7 @@ def answer_from_triples(
     unanswerable. Used ids come back ordered by retrieval rank.
     """
     if not candidates:
-        return False, "", []
+        return "", []
     request = ChatRequest(
         "answer_from_triples",
         {"question": question, "triples": render_candidates(candidates)},
@@ -115,7 +124,7 @@ def answer_from_triples(
     except LLM_FAILURES:
         logger.warning("triple answering failed, treating as unanswerable")
         events.append("answer:llm_failure")
-        return False, "", []
+        return "", []
     rank = {t.id: pos for pos, (t, _) in enumerate(candidates)}
     used: list[int] = []
     for triple_id in payload["used_triple_ids"]:
@@ -125,15 +134,12 @@ def answer_from_triples(
             logger.warning("dropping reported evidence id %r not in candidates", triple_id)
             events.append("answer:evidence_filtered")
     used.sort(key=rank.__getitem__)
-    answerable = bool(payload["answerable"])
-    answer = payload["answer"].strip()
-    if answerable and not used:
+    if not payload["answerable"]:
+        used = []
+    elif not used:
         logger.warning("answer claimed without evidence, coercing to unanswerable")
         events.append("answer:coerced_unanswerable")
-        answerable = False
-    if not answerable:
-        return False, answer, []
-    return True, answer, used
+    return payload["answer"].strip(), used
 
 
 def fallback_answer_from_docs(
@@ -144,28 +150,28 @@ def fallback_answer_from_docs(
     k_docs: int,
     events: list[str],
     char_budget: int = DEFAULT_CHAR_BUDGET,
-) -> tuple[str, FallbackEvent]:
-    """Corpus-level fallback: retrieve passages, answer from them, and
-    extract candidate triples for the write-back as indexing does. LLM
-    failures degrade to the UNKNOWN answer; the event is recorded either way."""
-    event = FallbackEvent()
+) -> FallbackEvent:
+    """The fallback stage: retrieve passages, answer from them, and
+    extract candidate triples for the write-back as indexing does. It
+    reads only ``stores.corpus`` and ``stores.passage_index``, which
+    nothing writes after load. LLM failures degrade to the UNKNOWN
+    answer; the event is recorded either way."""
+    event = FallbackEvent(document_answer=UNKNOWN_ANSWER)
     if len(stores.corpus) == 0:
         logger.warning("fallback requested with empty corpus")
         events.append("fallback:empty_corpus")
-        event.document_answer = UNKNOWN_ANSWER
-        return UNKNOWN_ANSWER, event
+        return event
     hits = stores.passage_index.top_k(question, k_docs, embedder)
     docs = [stores.corpus.documents[key] for key, _ in hits]
     event.retrieved_doc_ids = [doc.id for doc in docs]
     doc_block = "\n\n".join(f"[{doc.id}] {passage_text(doc)}" for doc in docs)
-    answer = UNKNOWN_ANSWER
     try:
         payload = gateway.complete_structured(
             ChatRequest("answer_from_docs", {"question": question, "documents": doc_block}),
             expect="object",
             required={"answer": str},
         )
-        answer = payload["answer"].strip() or UNKNOWN_ANSWER
+        event.document_answer = payload["answer"].strip() or UNKNOWN_ANSWER
     except LLM_FAILURES:
         logger.warning("document answering failed during fallback")
         events.append("fallback:answer_failure")
@@ -174,8 +180,7 @@ def fallback_answer_from_docs(
     except LLM_FAILURES:
         logger.warning("triple extraction failed during fallback")
         events.append("fallback:extract_failure")
-    event.document_answer = answer
-    return answer, event
+    return event
 
 
 def update_graph_with_new_triples(
@@ -318,50 +323,45 @@ def _solve_step(
     gw: Gateway,
     embedder: Embedder,
 ) -> SubAnswer:
+    """One step: the read stage here, then, unless the retrieved triples
+    answer it, the fallback stage and ``_commit``."""
     events: list[str] = []
     rewritten = rewrite(sub_question, answers, gw, events, enabled=config.rewriting,
                         text_refs=text_refs)
-
     hits, candidates = retrieve_for_subquestion(rewritten, stores, config.k_triples, embedder)
-    answerable, answer, used = answer_from_triples(rewritten, candidates, gw, events)
-
-    fallback: FallbackEvent | None = None
-    retrieved_after: list[tuple[int, float]] | None = None
-    if not answerable:
-        doc_answer, fallback = fallback_answer_from_docs(
+    answer, used = answer_from_triples(rewritten, candidates, gw, events)
+    sub = SubAnswer(index=index, sub_question=sub_question, rewritten_question=rewritten,
+                    retrieved=hits, answerable_from_graph=bool(used), answer=answer,
+                    used_triple_ids=used, events=events)
+    if not used:
+        sub.fallback = fallback_answer_from_docs(
             rewritten, stores, gw, embedder, config.k_docs, events,
             char_budget=config.extract_char_budget,
         )
-        if config.graph_update:
-            update_graph_with_new_triples(stores, fallback, question_id, index, embedder)
-        else:
-            events.append("update:disabled")
-        if fallback.written_back_ids:
-            # one bounded re-attempt over the refreshed graph
-            retrieved_after, candidates = retrieve_for_subquestion(
-                rewritten, stores, config.k_triples, embedder
-            )
-            answerable, answer2, used2 = answer_from_triples(rewritten, candidates, gw, events)
-            if answerable:
-                answer, used = answer2, used2
-        if not answerable:
-            # the document-grounded answer stands; written-back triples are
-            # the only citable evidence for this step
-            answer = doc_answer
-            used = list(fallback.written_back_ids)
+        _commit(sub, question_id, config, stores, gw, embedder)
+    return sub
 
-    return SubAnswer(
-        index=index,
-        sub_question=sub_question,
-        rewritten_question=rewritten,
-        retrieved=hits,
-        answerable_from_graph=answerable,
-        answer=answer,
-        used_triple_ids=used,
-        fallback=fallback,
-        retrieved_after_update=retrieved_after,
-        events=events,
-    )
+
+def _commit(sub: SubAnswer, question_id: str, config: Config, stores: Stores,
+            gw: Gateway, embedder: Embedder) -> None:
+    """The commit stage of a step that fell back: write the extracted
+    triples back, cite the document answer with the triples written, and,
+    if any were, retry once over the refreshed graph. A retry that answers
+    replaces the answer and its evidence. The only stage that writes the
+    graph and the triple index."""
+    fallback = sub.fallback
+    if config.graph_update:
+        update_graph_with_new_triples(stores, fallback, question_id, sub.index, embedder)
+    else:
+        sub.events.append("update:disabled")
+    sub.answer, sub.used_triple_ids = fallback.document_answer, list(fallback.written_back_ids)
+    if fallback.written_back_ids:
+        sub.retrieved_after_update, candidates = retrieve_for_subquestion(
+            sub.rewritten_question, stores, config.k_triples, embedder
+        )
+        answer, used = answer_from_triples(sub.rewritten_question, candidates, gw, sub.events)
+        if used:
+            sub.answerable_from_graph, sub.answer, sub.used_triple_ids = True, answer, used
 
 
 # -- trace serialization ---------------------------------------------------
@@ -369,47 +369,16 @@ def _solve_step(
 
 def trace_to_dict(trace: QuestionTrace) -> dict:
     """Canonical trace form: fixed key order, no wall-clock values, so a
-    deterministic run serializes byte-identically."""
-    plan = trace.plan
+    deterministic run serializes byte-identically. The plan and each
+    sub-answer keep their dataclass fields' declaration order."""
     return {
         "schema": TRACE_SCHEMA,
         "question_id": trace.question_id,
         "question": trace.question,
         "status": trace.status,
         "error": trace.error,
-        "plan": None
-        if plan is None
-        else {
-            "original_question": plan.original_question,
-            "sub_questions": list(plan.sub_questions),
-            "cap": plan.cap,
-            "degraded": plan.degraded,
-            "warnings": list(plan.warnings),
-        },
-        "sub_answers": [
-            {
-                "index": sub.index,
-                "sub_question": sub.sub_question,
-                "rewritten_question": sub.rewritten_question,
-                "retrieved": [[tid, score] for tid, score in sub.retrieved],
-                "retrieved_after_update": None
-                if sub.retrieved_after_update is None
-                else [[tid, score] for tid, score in sub.retrieved_after_update],
-                "answerable_from_graph": sub.answerable_from_graph,
-                "answer": sub.answer,
-                "used_triple_ids": list(sub.used_triple_ids),
-                "fallback": None
-                if sub.fallback is None
-                else {
-                    "retrieved_doc_ids": list(sub.fallback.retrieved_doc_ids),
-                    "new_triples": [list(row) for row in sub.fallback.new_triples],
-                    "written_back_ids": list(sub.fallback.written_back_ids),
-                    "document_answer": sub.fallback.document_answer,
-                },
-                "events": list(sub.events),
-            }
-            for sub in trace.sub_answers
-        ],
+        "plan": None if trace.plan is None else asdict(trace.plan),
+        "sub_answers": [asdict(sub) for sub in trace.sub_answers],
         "memory": [
             {
                 "step": step,

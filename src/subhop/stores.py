@@ -60,9 +60,11 @@ def save_stores(
     while moving leaves no manifest, so nothing loads a mix of old and new
     files. Other files in ``snapshot_dir`` are left alone.
 
-    The manifest pins the corpus by the sha256 of the bytes its documents
-    were parsed from (``Corpus.sha256``), not by the file as it is now;
-    a corpus built in memory has none, and ValueError is raised.
+    The manifest records the corpus by its absolute path, symlinks
+    unresolved, so the snapshot loads from any working directory. It pins
+    the corpus by the sha256 of the bytes its documents were parsed from
+    (``Corpus.sha256``), not by the file as it is now; a corpus built in
+    memory has none, and ValueError is raised.
     """
     if stores.corpus.sha256 is None:
         raise ValueError("the corpus was not read from a file, so no digest pins it")
@@ -72,7 +74,7 @@ def save_stores(
     try:
         stores.graph.save(staging / GRAPH_FILE)
         manifest = {
-            "corpus_path": str(corpus_path),
+            "corpus_path": os.path.abspath(corpus_path),
             "corpus_sha256": stores.corpus.sha256,
             "embedder": embedder.name,
             "dimension": embedder.dimension,

@@ -345,6 +345,20 @@ def test_ask_after_corpus_changed_exits_4(env, capsys):
     assert "changed since the snapshot was indexed" in capsys.readouterr().err
 
 
+def test_a_snapshot_indexed_with_a_relative_corpus_loads_from_another_directory(
+        env, capsys, monkeypatch):
+    monkeypatch.chdir(env["tmp"])
+    assert run(base_args(env, "index_script") + ["index", "--corpus", "corpus.jsonl"]) == 0
+    elsewhere = env["tmp"] / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    capsys.readouterr()
+    assert run(base_args(env, "ask_script") + ["ask", TWO_HOP_QUESTION]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "Emma Thomas"
+    manifest = json.loads((env["snapshot"] / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["corpus_path"] == str(env["corpus"])
+
+
 def test_index_pins_the_corpus_bytes_it_parsed(env, capsys, monkeypatch):
     # d1 is rewritten after the corpus was read and before the snapshot is
     # saved: the manifest must pin the bytes the graph was extracted from

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 
 import pytest
@@ -79,16 +81,16 @@ def test_answer_from_triples_happy_path():
         rule("answer_from_triples",
              {"answerable": True, "answer": "Christopher Nolan", "used_triple_ids": [0]}),
     ])
-    answerable, answer, used = answer_from_triples(
+    answer, used = answer_from_triples(
         "Who directed Inception?", _candidates(graph, [(0, 1.0)]), gw, []
     )
-    assert (answerable, answer, used) == (True, "Christopher Nolan", [0])
+    assert (answer, used) == ("Christopher Nolan", [0])
     assert "0. Inception | directed by | Christopher Nolan" in gw.backend.log[0]["prompt"]
 
 
 def test_answer_from_triples_empty_candidates_no_llm_call():
     gw = stub_gateway([])
-    assert answer_from_triples("q", [], gw, []) == (False, "", [])
+    assert answer_from_triples("q", [], gw, []) == ("", [])
     assert gw.backend.log == []
 
 
@@ -100,10 +102,8 @@ def test_answer_from_triples_filters_foreign_ids_and_coerces():
              {"answerable": True, "answer": "B", "used_triple_ids": [99]}),
     ])
     events = []
-    answerable, answer, used = answer_from_triples(
-        "q", _candidates(graph, [(0, 0.5)]), gw, events
-    )
-    assert (answerable, used) == (False, [])
+    _, used = answer_from_triples("q", _candidates(graph, [(0, 0.5)]), gw, events)
+    assert used == []
     assert "answer:coerced_unanswerable" in events
 
 
@@ -119,10 +119,10 @@ def test_answer_from_triples_drops_boolean_ids():
              {"answerable": True, "answer": "x", "used_triple_ids": [False, 1]}),
     ])
     events = []
-    assert answer_from_triples("q", candidates, gw, events) == (False, "x", [])
+    assert answer_from_triples("q", candidates, gw, events) == ("x", [])
     assert events == ["answer:evidence_filtered", "answer:coerced_unanswerable"]
     result = answer_from_triples("q", candidates, gw, [])
-    assert result == (True, "x", [1]) and type(result[2][0]) is int
+    assert result == ("x", [1]) and type(result[1][0]) is int
 
 
 def test_answer_from_triples_orders_used_ids_by_rank():
@@ -134,7 +134,7 @@ def test_answer_from_triples_orders_used_ids_by_rank():
              {"answerable": True, "answer": "x", "used_triple_ids": [0, 2]}),
     ])
     # candidate rank order: 2 first, then 0
-    _, _, used = answer_from_triples("q", _candidates(graph, [(2, 0.9), (0, 0.1)]), gw, [])
+    _, used = answer_from_triples("q", _candidates(graph, [(2, 0.9), (0, 0.1)]), gw, [])
     assert used == [2, 0]
 
 
@@ -145,7 +145,7 @@ def test_answer_from_triples_parse_failure_is_unanswerable():
         rule("answer_from_triples", "prose"),
         rule("answer_from_triples", "more prose"),
     ])
-    assert answer_from_triples("q", _candidates(graph, [(0, 1.0)]), gw, []) == (False, "", [])
+    assert answer_from_triples("q", _candidates(graph, [(0, 1.0)]), gw, []) == ("", [])
 
 
 def test_fallback_answer_from_docs(tmp_path):
@@ -154,13 +154,41 @@ def test_fallback_answer_from_docs(tmp_path):
         rule("answer_from_docs", {"answer": "Emma Thomas"}),
         rule("extract_triples", [["Christopher Nolan", "spouse", "Emma Thomas"]]),
     ])
-    answer, event = fallback_answer_from_docs(
+    event = fallback_answer_from_docs(
         "Who is the spouse of Christopher Nolan?", world.stores, gw, world.embedder, 5, []
     )
-    assert answer == "Emma Thomas"
+    assert event.document_answer == "Emma Thomas"
     assert event.retrieved_doc_ids[0] == "d2"
     assert event.new_triples == [("Christopher Nolan", "spouse", "Emma Thomas")]
     assert event.written_back_ids == []
+
+
+class Untouchable:
+    """Fails on any attribute access and on ``len``."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"the fallback stage read .{name}")
+
+    def __len__(self):
+        raise AssertionError("the fallback stage took len()")
+
+
+def test_fallback_reads_neither_the_graph_nor_the_triple_index(tmp_path):
+    # the fallback reads only the corpus and the passage index, which
+    # nothing writes after load, so it needs no ordering against write-backs
+    world = build_two_hop_world(tmp_path)
+    question = "Who is the spouse of Christopher Nolan?"
+
+    def run(stores):
+        gw = stub_gateway([
+            rule("answer_from_docs", {"answer": "Emma Thomas"}),
+            rule("extract_triples", [["Christopher Nolan", "spouse", "Emma Thomas"]]),
+        ])
+        events = []
+        return fallback_answer_from_docs(question, stores, gw, world.embedder, 5, events), events
+
+    blind = dataclasses.replace(world.stores, graph=Untouchable(), triple_index=Untouchable())
+    assert run(blind) == run(world.stores)
 
 
 def test_fallback_extracts_the_document_block_per_chunk(tmp_path):
@@ -172,7 +200,7 @@ def test_fallback_extracts_the_document_block_per_chunk(tmp_path):
             rule("answer_from_docs", {"answer": "Emma Thomas"}),
             rule("extract_triples", [["A", "r", "B"]], repeat=True),
         ])
-        _, event = fallback_answer_from_docs(
+        event = fallback_answer_from_docs(
             question, world.stores, gw, world.embedder, 3, [], **budget
         )
         prompts = [e["prompt"] for e in gw.backend.log if e["template"] == "extract_triples"]
@@ -195,10 +223,10 @@ def test_fallback_empty_corpus(tmp_path):
     world = build_two_hop_world(tmp_path)
     world.stores.corpus.documents.clear()
     events = []
-    answer, event = fallback_answer_from_docs(
+    event = fallback_answer_from_docs(
         "q?", world.stores, stub_gateway([]), world.embedder, 5, events
     )
-    assert answer == "UNKNOWN"
+    assert event.document_answer == "UNKNOWN"
     assert event.retrieved_doc_ids == [] and event.new_triples == []
     assert "fallback:empty_corpus" in events
 
@@ -207,10 +235,10 @@ def test_fallback_llm_failure_records_event(tmp_path):
     world = build_two_hop_world(tmp_path)
     world.embedder.add("weird question", basis_vector(6, 8))
     events = []
-    answer, event = fallback_answer_from_docs(
+    event = fallback_answer_from_docs(
         "weird question", world.stores, stub_gateway([]), world.embedder, 2, events
     )
-    assert answer == "UNKNOWN"
+    assert event.document_answer == "UNKNOWN"
     assert event.new_triples == []
     assert "fallback:answer_failure" in events and "fallback:extract_failure" in events
     assert len(event.retrieved_doc_ids) == 2
@@ -506,6 +534,19 @@ def test_trace_serialization_deterministic(tmp_path):
                       world.embedder)
         dumps.append(trace_to_json(trace))
     assert dumps[0] == dumps[1]
+    # the key order follows the dataclasses' field order
+    data = json.loads(dumps[0])
+    assert list(data) == ["schema", "question_id", "question", "status", "error", "plan",
+                          "sub_answers", "memory", "final_answer", "events", "usage"]
+    assert list(data["plan"]) == ["original_question", "sub_questions", "cap", "degraded",
+                                  "warnings"]
+    fell_back = data["sub_answers"][1]
+    assert list(fell_back) == [
+        "index", "sub_question", "rewritten_question", "retrieved", "retrieved_after_update",
+        "answerable_from_graph", "answer", "used_triple_ids", "fallback", "events",
+    ]
+    assert list(fell_back["fallback"]) == ["retrieved_doc_ids", "new_triples",
+                                           "written_back_ids", "document_answer"]
 
 
 def test_validate_trace_dict_flags_violations(tmp_path):

@@ -426,7 +426,8 @@ def test_rows_zero_in_a_negative_query_score_positive_zero():
     hits = index.top_k("q", 3, embedder)
     assert hits[:2] == [(0, 0.0), (1, 0.0)] and hits[2][1] < 0.0
     assert not np.signbit([score for _, score in hits[:2]]).any()
-    sub = SubAnswer(0, "q", "q", hits, False, "", [])
+    sub = SubAnswer(index=0, sub_question="q", rewritten_question="q", retrieved=hits,
+                    answerable_from_graph=False, answer="", used_triple_ids=[])
     text = trace_to_json(QuestionTrace("z", "q", sub_answers=[sub]))
     assert "-0.0" not in text
     assert json.loads(text)["sub_answers"][0]["retrieved"][:2] == [[0, 0.0], [1, 0.0]]
