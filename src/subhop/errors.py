@@ -28,10 +28,6 @@ class ParseError(SubhopError):
         self.line = line
 
 
-class DuplicateKeyError(SubhopError):
-    """A snapshot file contains two records with the same dedup key."""
-
-
 class DuplicateDocId(SubhopError):
     """A corpus file contains two documents with the same id."""
 

@@ -1,5 +1,5 @@
 """Offline indexing: corpus ingestion, per-document triple extraction and
-construction of the graph plus both vector indexes.
+construction of the graph and its triple index.
 
 Indexing is best-effort per document: one document failing extraction is
 recorded in the report and never aborts the build. Insertion order is by
@@ -174,20 +174,14 @@ class IndexReport:
         )
 
 
-def embed_indexes(
-    graph: KnowledgeGraph, corpus: Corpus, embedder: Embedder
-) -> tuple[VectorIndex, VectorIndex]:
-    """Embed both vector indexes: one row per graph triple, at its id,
-    and one row per document, at its corpus position.
+def embed_triples(graph: KnowledgeGraph, embedder: Embedder) -> VectorIndex:
+    """The triple index: one row per graph triple, at its id.
 
-    Every row is ``embedder.embed`` of text the graph or the corpus holds,
-    so building an index and loading a snapshot both call this.
-    """
+    Every row is ``embedder.embed`` of text the graph holds, so building
+    an index and loading a snapshot both call this."""
     triple_index = VectorIndex(dimension=embedder.dimension)
     triple_index.extend(map(verbalize_triple, graph), embedder)
-    passage_index = VectorIndex(dimension=embedder.dimension)
-    passage_index.extend(map(passage_text, corpus.documents), embedder)
-    return triple_index, passage_index
+    return triple_index
 
 
 def build_graph_index(
@@ -197,8 +191,9 @@ def build_graph_index(
     char_budget: int = DEFAULT_CHAR_BUDGET,
     workers: int = 1,
 ) -> tuple[KnowledgeGraph, VectorIndex, VectorIndex, IndexReport]:
-    """Extract every document, build the deduplicated graph and both
-    vector indexes (triples, passages)."""
+    """Extract every document, build the deduplicated graph and its
+    triple index. The passage index comes back empty: the first fallback
+    embeds it (``Stores.passages``)."""
     report = IndexReport(documents=len(corpus.documents))
     graph = KnowledgeGraph()
 
@@ -226,5 +221,5 @@ def build_graph_index(
                 report.stored += 1
             else:
                 report.duplicates += 1
-    triple_index, passage_index = embed_indexes(graph, corpus, embedder)
-    return graph, triple_index, passage_index, report
+    passage_index = VectorIndex(dimension=embedder.dimension)
+    return graph, embed_triples(graph, embedder), passage_index, report

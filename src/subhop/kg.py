@@ -7,12 +7,13 @@ dedup key guarantees that the same fact is stored once.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .errors import DuplicateKeyError, EmptyField, ParseError, UnknownId
+from .errors import EmptyField, ParseError, UnknownId
 from .records import read_json_lines
 
 DYNAMIC_PREFIX = "dynamic:"
@@ -36,7 +37,7 @@ def dedup_key(head: str, relation: str, tail: str) -> DedupKey:
 
 def _normalize(head: str, relation: str, tail: str) -> tuple[tuple[str, str, str], DedupKey]:
     """Normalized fields and dedup key; EmptyField if a field trims to nothing."""
-    # normalize_field, written out: a snapshot load runs this once per line
+    # normalize_field, written out: an index build runs this once per extracted row
     h = " ".join(head.split())
     r = " ".join(relation.split())
     t = " ".join(tail.split())
@@ -81,11 +82,15 @@ class KnowledgeGraph:
 
     Thread-safety is by contract, not enforced here: callers serialize
     writes through a single writer path and may read concurrently.
+
+    The dedup-key index serves only writes. A loaded graph holds none
+    until its first ``insert`` or ``new_fields`` builds it, so a run
+    that never writes never pays for it.
     """
 
     def __init__(self) -> None:
         self._triples: list[Triple] = []
-        self._key_index: dict[DedupKey, int] = {}
+        self._key_index: dict[DedupKey, int] | None = {}
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -98,6 +103,17 @@ class KnowledgeGraph:
             return NotImplemented
         return self._triples == other._triples
 
+    def _keys(self) -> dict[DedupKey, int]:
+        """The dedup-key index, built from the stored triples at the first
+        call after a load. Stored fields are already normalized, so each
+        key is the casefolded fields."""
+        if self._key_index is None:
+            self._key_index = {
+                (t.head.casefold(), t.relation.casefold(), t.tail.casefold()): t.id
+                for t in self._triples
+            }
+        return self._key_index
+
     def insert(
         self, head: str, relation: str, tail: str, provenance: str, step: int
     ) -> tuple[int, bool]:
@@ -108,12 +124,13 @@ class KnowledgeGraph:
         any field trims to nothing; callers skip the triple and log it.
         """
         fields, key = _normalize(head, relation, tail)
-        existing = self._key_index.get(key)
+        keys = self._keys()
+        existing = keys.get(key)
         if existing is not None:
             return existing, False
         triple_id = len(self._triples)
         self._triples.append(Triple(triple_id, *fields, provenance, step))
-        self._key_index[key] = triple_id
+        keys[key] = triple_id
         return triple_id, True
 
     def new_fields(self, head: str, relation: str, tail: str) -> tuple[str, str, str] | None:
@@ -121,7 +138,7 @@ class KnowledgeGraph:
         equivalent triple is already stored. Raises EmptyField as
         ``insert`` does."""
         fields, key = _normalize(head, relation, tail)
-        return None if key in self._key_index else fields
+        return None if key in self._keys() else fields
 
     def lookup(self, triple_id: int) -> Triple:
         """The triple with this id; UnknownId unless 0 <= id < len(self)."""
@@ -138,37 +155,45 @@ class KnowledgeGraph:
 
     # -- persistence -----------------------------------------------------
 
-    def save(self, path: str | Path) -> None:
-        """Write one JSON record per triple, fixed field order.
+    def save(self, path: str | Path) -> str:
+        """Write one JSON record per triple, fixed field order, and return
+        the sha256 of the bytes written, which ``load`` checks.
 
         The field order is part of the format so that save -> load -> save
         round-trips byte-identically.
         """
-        with open(path, "w", encoding="utf-8") as fh:
+        digest = hashlib.sha256()
+        with open(path, "wb") as fh:
             for t in self._triples:
-                fh.write(encode_record(t))
-                fh.write("\n")
+                line = (encode_record(t) + "\n").encode("utf-8")
+                digest.update(line)
+                fh.write(line)
+        return digest.hexdigest()
 
     @classmethod
-    def load(cls, path: str | Path) -> "KnowledgeGraph":
-        """Read what ``save`` wrote, storing each line through ``insert``.
+    def load(cls, path: str | Path, sha256: str) -> "KnowledgeGraph":
+        """Read what ``save`` wrote, given the digest ``save`` returned.
 
-        Ids must run 0..n-1 in file order; a gap, a repeat or a reordering
-        raises ParseError, as does a field that is empty once normalized.
-        A line that ``insert`` finds already stored, once normalized,
-        raises DuplicateKeyError naming the line.
+        The file is read once. Bytes that do not hash to ``sha256`` raise
+        ParseError before anything is parsed. Bytes that do are what
+        ``save`` wrote from triples that had all passed ``insert``, so each
+        record becomes its ``Triple`` as it stands: no normalization, no
+        dedup keys and no id checks. Such a file can be malformed only
+        under a forged digest; a line that is not a JSON object, or lacks
+        a field, still raises ParseError naming the line.
         """
+        data = Path(path).read_bytes()
+        if hashlib.sha256(data).hexdigest() != sha256:
+            raise ParseError(f"graph {path} changed since the snapshot was saved")
         graph = cls()
-        for lineno, record in read_json_lines(path):
-            triple_id, fields, provenance, step = _decode_record(record, lineno)
-            if triple_id != len(graph):
-                raise ParseError(f"triple id {triple_id}, expected {len(graph)}", line=lineno)
-            try:
-                existing, new = graph.insert(*fields, provenance, step)
-            except EmptyField:
-                raise ParseError("empty triple field", line=lineno) from None
-            if not new:
-                raise DuplicateKeyError(f"line {lineno}: duplicates triple {existing}")
+        triples = graph._triples
+        try:
+            for lineno, r in read_json_lines(path, data):
+                triples.append(Triple(r["id"], r["head"], r["relation"], r["tail"],
+                                      r["provenance"], r["step"]))
+        except KeyError as exc:
+            raise ParseError(f"missing field {exc.args[0]!r}", line=lineno) from None
+        graph._key_index = None
         return graph
 
 
@@ -188,24 +213,3 @@ def encode_record(t: Triple) -> str:
         "step": t.created_at_step,
     }
     return _ENCODE(record)
-
-
-def _decode_record(record: dict, lineno: int) -> tuple[int, tuple[str, str, str], str, int]:
-    """A snapshot line's id, (head, relation, tail), provenance and step,
-    type-checked but not normalized."""
-    try:
-        triple_id = record["id"]
-        head = record["head"]
-        relation = record["relation"]
-        tail = record["tail"]
-        provenance = record["provenance"]
-        step = record["step"]
-    except KeyError as exc:
-        raise ParseError(f"missing field {exc.args[0]!r}", line=lineno) from None
-    if type(triple_id) is not int or type(step) is not int:  # JSON true is not 1
-        raise ParseError("id and step must be integers", line=lineno)
-    for name, value in (("head", head), ("relation", relation), ("tail", tail),
-                        ("provenance", provenance)):
-        if not isinstance(value, str):
-            raise ParseError(f"{name} must be a string", line=lineno)
-    return triple_id, (head, relation, tail), provenance, step

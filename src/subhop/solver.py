@@ -5,7 +5,7 @@ Each sub-question runs in up to three stages:
 - read: rewrite, retrieve top-k triples, try to answer from them alone;
 - fallback, if the graph is insufficient: passage retrieval, an answer
   from the documents and extraction of their facts; it reads only the
-  corpus and the passage index;
+  corpus and the passage index, which the first fallback embeds;
 - commit: write the new facts back into the graph and, if any landed,
   retry answering from the refreshed graph exactly once. It is the only
   stage that writes the graph and the triple index.
@@ -153,15 +153,16 @@ def fallback_answer_from_docs(
 ) -> FallbackEvent:
     """The fallback stage: retrieve passages, answer from them, and
     extract candidate triples for the write-back as indexing does. It
-    reads only ``stores.corpus`` and ``stores.passage_index``, which
-    nothing writes after load. LLM failures degrade to the UNKNOWN
-    answer; the event is recorded either way."""
+    reads only ``stores.corpus`` and the passage index. Its first use
+    writes the passage index, embedding the corpus once
+    (``Stores.passages``); nothing writes it after that. LLM failures
+    degrade to the UNKNOWN answer; the event is recorded either way."""
     event = FallbackEvent(document_answer=UNKNOWN_ANSWER)
     if len(stores.corpus) == 0:
         logger.warning("fallback requested with empty corpus")
         events.append("fallback:empty_corpus")
         return event
-    hits = stores.passage_index.top_k(question, k_docs, embedder)
+    hits = stores.passages(embedder).top_k(question, k_docs, embedder)
     docs = [stores.corpus.documents[key] for key, _ in hits]
     event.retrieved_doc_ids = [doc.id for doc in docs]
     doc_block = "\n\n".join(f"[{doc.id}] {passage_text(doc)}" for doc in docs)

@@ -1,9 +1,10 @@
-"""Pipeline store bundle: graph, both vector indexes, corpus, write lock.
+"""Pipeline store bundle: graph, both vector indexes, corpus, locks.
 
 Retrievals take no lock: the graph and the indexes are append-only, and
 a reader sees a consistent prefix of each (see ``VectorIndex``).
 Write-backs touch the graph and the triple index together, so they take
-``write_lock`` one at a time.
+``write_lock`` one at a time. The passage index is embedded once, at the
+first fallback, under ``passage_lock``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from .embedders import Embedder
 from .errors import EmbedderMismatch, ParseError
-from .indexer import Corpus, embed_indexes, ingest_corpus
+from .indexer import Corpus, embed_triples, ingest_corpus, passage_text
 from .kg import KnowledgeGraph
 from .records import read_json
 from .vector import VectorIndex
@@ -32,11 +33,33 @@ SNAPSHOT_FILES = (GRAPH_FILE, MANIFEST_FILE)
 
 @dataclass
 class Stores:
+    """What ``solve`` reads and writes.
+
+    ``passage_index`` holds no rows until the first fallback fills it
+    from the corpus through ``passages``; only a fallback reads it, and
+    most runs never fall back. ``write_lock`` serializes write-backs, and
+    ``passage_lock`` the passage index's one fill.
+    """
+
     graph: KnowledgeGraph
     triple_index: VectorIndex
     passage_index: VectorIndex
     corpus: Corpus
     write_lock: threading.Lock = field(default_factory=threading.Lock)
+    passage_lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def passages(self, embedder: Embedder) -> VectorIndex:
+        """``passage_index``, with one row per document at its corpus
+        position: the first call embeds the corpus, and a call that meets
+        it waits for it. ``VectorIndex.extend`` moves the row count only
+        once every row is in, so a full count outside the lock means a
+        finished fill."""
+        index = self.passage_index
+        if len(index) < len(self.corpus):
+            with self.passage_lock:
+                if len(index) < len(self.corpus):
+                    index.extend(map(passage_text, self.corpus.documents), embedder)
+        return index
 
 
 def snapshot_exists(snapshot_dir: str | Path) -> bool:
@@ -53,12 +76,17 @@ def save_stores(
     """Write the graph and the manifest into a staging directory inside
     ``snapshot_dir``, then move each into place.
 
-    The vector indexes are not saved: ``load_stores`` embeds them again
-    from the graph and the corpus. The old manifest is removed first and
-    the new one moved in last, so the manifest marks a complete snapshot:
-    an error while writing leaves the previous snapshot as it was, and one
-    while moving leaves no manifest, so nothing loads a mix of old and new
-    files. Other files in ``snapshot_dir`` are left alone.
+    The manifest pins the graph by the sha256 of the bytes written
+    (``graph_sha256``), which ``load_graph`` checks. The vector indexes
+    are not saved: ``load_stores`` embeds the triple index again from the
+    graph, and the first fallback the passage index from the corpus, so
+    the manifest counts the corpus's documents as its passages.
+
+    The old manifest is removed first and the new one moved in last, so
+    the manifest marks a complete snapshot: an error while writing leaves
+    the previous snapshot as it was, and one while moving leaves no
+    manifest, so nothing loads a mix of old and new files. Other files in
+    ``snapshot_dir`` are left alone.
 
     The manifest records the corpus by its absolute path, symlinks
     unresolved, so the snapshot loads from any working directory. It pins
@@ -72,14 +100,15 @@ def save_stores(
     root.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=root))
     try:
-        stores.graph.save(staging / GRAPH_FILE)
+        graph_sha256 = stores.graph.save(staging / GRAPH_FILE)
         manifest = {
             "corpus_path": os.path.abspath(corpus_path),
             "corpus_sha256": stores.corpus.sha256,
+            "graph_sha256": graph_sha256,
             "embedder": embedder.name,
             "dimension": embedder.dimension,
             "triples": len(stores.graph),
-            "passages": len(stores.passage_index),
+            "passages": len(stores.corpus),
             "created_at": datetime.now(timezone.utc).isoformat(),
         }
         (staging / MANIFEST_FILE).write_text(
@@ -105,12 +134,18 @@ def _check_count(what: str, found: int, recorded: object) -> None:
 
 
 def load_graph(snapshot_dir: str | Path, manifest: dict | None = None) -> KnowledgeGraph:
-    """The snapshot's graph; raises ParseError if it does not hold as many
-    triples as the manifest records."""
+    """The snapshot's graph, read only if its bytes hash to the manifest's
+    ``graph_sha256``. Raises ParseError on a mismatch, for a manifest
+    without that digest (one written before snapshots recorded it), and
+    if the graph does not hold as many triples as the manifest records."""
     root = Path(snapshot_dir)
     if manifest is None:
         manifest = load_manifest(root)
-    graph = KnowledgeGraph.load(root / GRAPH_FILE)
+    sha256 = manifest.get("graph_sha256")
+    if not isinstance(sha256, str):
+        raise ParseError("the manifest records no 'graph_sha256'; rebuild the snapshot "
+                         "with 'subhop index --force'")
+    graph = KnowledgeGraph.load(root / GRAPH_FILE, sha256)
     _check_count("graph triples", len(graph), manifest.get("triples"))
     return graph
 
@@ -120,13 +155,16 @@ def load_stores(
     embedder: Embedder,
     corpus_path: str | Path | None = None,
 ) -> Stores:
-    """Rebuild stores from a snapshot directory.
+    """Rebuild stores from a snapshot directory, with only the work every
+    run needs.
 
     The embedder identity is validated against the manifest; the corpus is
     re-read from its recorded path unless an override is given, once: the
     bytes that hash to the recorded ``corpus_sha256`` are the bytes parsed.
-    Both vector indexes are embedded again from the graph and the corpus,
-    as ``build_graph_index`` embeds them.
+    The graph is read as ``load_graph`` reads it, and its dedup-key index
+    waits for the first write-back. The triple index is embedded again
+    from the graph, as ``build_graph_index`` embeds it; the passage index
+    is left empty for the first fallback to fill (``Stores.passages``).
     """
     root = Path(snapshot_dir)
     manifest = load_manifest(root)
@@ -145,10 +183,9 @@ def load_stores(
     corpus = ingest_corpus(corpus_path, sha256)
     _check_count("corpus documents", len(corpus), manifest.get("passages"))
     graph = load_graph(root, manifest)
-    triple_index, passage_index = embed_indexes(graph, corpus, embedder)
     return Stores(
         graph=graph,
-        triple_index=triple_index,
-        passage_index=passage_index,
+        triple_index=embed_triples(graph, embedder),
+        passage_index=VectorIndex(dimension=embedder.dimension),
         corpus=corpus,
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -15,7 +16,7 @@ import numpy as np
 from subhop.config import Config
 from subhop.embedders import Embedder, Embedding, FixtureEmbedder, HashedBagEmbedder
 from subhop.gateway import Gateway
-from subhop.indexer import build_graph_index, embed_indexes, ingest_corpus
+from subhop.indexer import Corpus, build_graph_index, embed_triples, ingest_corpus
 from subhop.kg import KnowledgeGraph
 from subhop.stores import Stores, save_stores
 from subhop.stub import StubBackend, StubRule, rule
@@ -271,9 +272,21 @@ def save_hash_snapshot(tmp_path: Path, triples: int) -> Path:
     graph = KnowledgeGraph()
     for key in range(triples):
         graph.insert(f"entity {key}", "r", f"entity {key // 2} ß", "doc:d1", 0)
-    stores = Stores(graph, *embed_indexes(graph, corpus, embedder), corpus)
-    save_stores(stores, tmp_path / "snap", embedder, corpus_path)
+    save_stores(graph_stores(graph, corpus, embedder), tmp_path / "snap", embedder, corpus_path)
     return tmp_path / "snap"
+
+
+def graph_stores(graph: KnowledgeGraph, corpus: Corpus, embedder: Embedder) -> Stores:
+    """Stores over a graph built by hand, as ``load_stores`` returns them:
+    the triple index embedded, the passage index left to the first
+    fallback."""
+    return Stores(graph, embed_triples(graph, embedder),
+                  VectorIndex(dimension=embedder.dimension), corpus)
+
+
+def file_sha256(path: Path) -> str:
+    """The sha256 of a file's bytes, as ``KnowledgeGraph.load`` checks it."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @dataclass

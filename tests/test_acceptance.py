@@ -23,7 +23,7 @@ from subhop.solver import (
     validate_trace_dict,
     write_trace,
 )
-from subhop.stores import Stores, load_stores, save_stores
+from subhop.stores import Stores, load_graph, load_stores, save_stores
 from subhop.stub import rule
 from subhop.vector import VectorIndex
 
@@ -362,7 +362,9 @@ def test_persistence_and_cli_contract(tmp_path, capsys):
     reloaded = load_stores(snap, world.embedder)
     assert reloaded.graph == world.stores.graph
     assert index_rows(reloaded.triple_index) == index_rows(world.stores.triple_index)
-    assert index_rows(reloaded.passage_index) == index_rows(world.stores.passage_index)
+    passages = reloaded.passages(world.embedder)
+    assert len(passages) == len(reloaded.corpus) > 0
+    assert index_rows(passages) == index_rows(world.stores.passages(world.embedder))
     snap2 = tmp_path / "snap2"
     save_stores(reloaded, snap2, world.embedder, world.corpus_path)
     assert (snap / "graph.jsonl").read_bytes() == (snap2 / "graph.jsonl").read_bytes()
@@ -418,7 +420,9 @@ def test_persistence_and_cli_contract(tmp_path, capsys):
     assert cli(ask_script, "graph", "export", "--format", "json") == 0
     exported = cli_dir / "export.jsonl"
     exported.write_text(capsys.readouterr().out, encoding="utf-8")
-    assert KnowledgeGraph.load(exported) == KnowledgeGraph.load(snap_dir / "graph.jsonl")
+    assert exported.read_bytes() == (snap_dir / "graph.jsonl").read_bytes()
+    graph_sha256 = json.loads((snap_dir / "manifest.json").read_text())["graph_sha256"]
+    assert KnowledgeGraph.load(exported, graph_sha256) == load_graph(snap_dir)
 
     (snap_dir / "graph.jsonl").write_text("broken\n", encoding="utf-8")
     assert cli(ask_script, "graph", "stats") == 4               # runtime error

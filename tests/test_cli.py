@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -262,9 +263,13 @@ def test_graph_export_json_round_trips(env, capsys, tmp_path):
     assert code == 0
     exported = tmp_path / "export.jsonl"
     exported.write_text(out, encoding="utf-8")
-    reloaded = KnowledgeGraph.load(exported)
-    original = KnowledgeGraph.load(env["snapshot"] / "graph.jsonl")
-    assert reloaded == original
+    # the export is the saved file, byte for byte, so it loads under its digest
+    saved = env["snapshot"] / "graph.jsonl"
+    assert exported.read_bytes() == saved.read_bytes()
+    manifest = json.loads((env["snapshot"] / "manifest.json").read_text(encoding="utf-8"))
+    reloaded = KnowledgeGraph.load(exported, manifest["graph_sha256"])
+    assert reloaded == KnowledgeGraph.load(saved, manifest["graph_sha256"])
+    assert len(reloaded) == 3
 
 
 def test_graph_export_edgelist(env, capsys):
@@ -315,7 +320,7 @@ def test_truncated_snapshot_exits_4(env, capsys):
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(lines[:-1]), encoding="utf-8")
     assert run(base_args(env, "ask_script") + ["ask", TWO_HOP_QUESTION]) == 4
-    assert "its manifest records" in capsys.readouterr().err
+    assert "changed since the snapshot was saved" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["stats"], ["export", "--format", "edgelist"]])
@@ -328,7 +333,7 @@ def test_graph_on_truncated_snapshot_exits_4(env, capsys, command):
     assert run(base_args(env, "ask_script") + ["graph", *command]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "snapshot has 2 graph triples, its manifest records 3" in captured.err
+    assert "graph.jsonl changed since the snapshot was saved" in captured.err
 
 
 def test_ask_with_other_embedding_dimension_exits_4(env, capsys):
@@ -510,3 +515,41 @@ def test_ask_with_a_manifest_without_a_corpus_sha256_exits_4(env, capsys):
     path.write_text(json.dumps(manifest), encoding="utf-8")
     assert run(base_args(env, "ask_script") + ["ask", TWO_HOP_QUESTION]) == 4
     assert "'corpus_sha256' must be a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["ask", TWO_HOP_QUESTION], ["graph", "stats"]])
+def test_a_snapshot_without_a_graph_digest_exits_4(env, capsys, command):
+    # a manifest written before snapshots recorded graph_sha256
+    do_index(env)
+    path = env["snapshot"] / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    del manifest["graph_sha256"]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+    assert run(base_args(env, "ask_script") + command) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "records no 'graph_sha256'" in captured.err
+    assert "subhop index --force" in captured.err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("not json", "invalid JSON in graph.jsonl: Expecting value"),
+    ('{"id":2,"head":"A","relation":"r","provenance":"doc:d1","step":0}',
+     "missing field 'tail'"),
+], ids=["not-json", "missing-field"])
+def test_a_forged_graph_digest_over_a_malformed_line_exits_4(env, capsys, line, message):
+    # the digest matches, so only a forged manifest gets this far: the
+    # malformed line is still an error naming it, not a traceback
+    do_index(env)
+    graph = env["snapshot"] / "graph.jsonl"
+    graph.write_text(graph.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    path = env["snapshot"] / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["graph_sha256"] = hashlib.sha256(graph.read_bytes()).hexdigest()
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+    assert run(base_args(env, "ask_script") + ["graph", "stats"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{message} (line 4)" in captured.err

@@ -13,7 +13,7 @@ from subhop.indexer import (
     split_for_extraction,
     validate_triple_rows,
 )
-from subhop.stores import load_stores, save_stores
+from subhop.stores import Stores, load_stores, save_stores
 from subhop.stub import rule
 from subhop.vector import verbalize_triple
 
@@ -130,7 +130,8 @@ def test_build_graph_index_counts_duplicates():
     assert report.duplicates == 1
     assert report.stored == 2
     assert len(graph) == 2
-    assert len(passage_index) == 2
+    assert len(passage_index) == 0  # embedded by the first fallback, not by the build
+    assert len(Stores(graph, triple_index, passage_index, corpus).passages(embedder)) == 2
     # dedup kept the first surface form, provenance of the first doc
     assert graph.lookup(0).provenance == "doc:d1"
 
@@ -172,6 +173,8 @@ def test_index_keys_equal_graph_ids():
     embedder = HashedBagEmbedder(dimension=16)
     graph, triple_index, passage_index, _ = build_graph_index(corpus, gw, embedder)
     assert list(triple_index.entries()) == [(t.id, verbalize_triple(t)) for t in graph]
+    passages = Stores(graph, triple_index, passage_index, corpus).passages(embedder)
+    assert passages is passage_index
     assert list(passage_index.entries()) == [(0, "one"), (1, "two")]
     for t in graph:
         assert t.provenance.startswith("doc:")

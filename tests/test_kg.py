@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from subhop.errors import DuplicateKeyError, EmptyField, ParseError, UnknownId
+from subhop.errors import EmptyField, ParseError, UnknownId
 from subhop.kg import KnowledgeGraph, Triple, dedup_key, normalize_field
 
-from helpers import oracle_dedup_key
+from helpers import file_sha256, oracle_dedup_key
 
 
 def test_first_insert():
@@ -90,18 +90,19 @@ def test_save_load_round_trip(tmp_path):
     g.insert("Inception", "directed by", "Christopher Nolan", "doc:d1", 0)
     g.insert("Christopher Nolan", "spouse", "Emma Thomas", "dynamic:q1", 2)
     path = tmp_path / "graph.jsonl"
-    g.save(path)
+    digest = g.save(path)
+    assert digest == file_sha256(path)
     assert len(path.read_text().splitlines()) == 2
-    loaded = KnowledgeGraph.load(path)
+    loaded = KnowledgeGraph.load(path, digest)
     assert loaded == g
     assert loaded.lookup(1).provenance == "dynamic:q1"
 
 
 def test_save_empty_graph(tmp_path):
     path = tmp_path / "graph.jsonl"
-    KnowledgeGraph().save(path)
+    digest = KnowledgeGraph().save(path)
     assert path.read_text() == ""
-    assert len(KnowledgeGraph.load(path)) == 0
+    assert len(KnowledgeGraph.load(path, digest)) == 0
 
 
 def test_save_load_save_is_byte_identical(tmp_path):
@@ -109,8 +110,8 @@ def test_save_load_save_is_byte_identical(tmp_path):
     g.insert("A b", "likes", "Céline", "doc:d1", 0)
     g.insert("X", "r", "Y", "dynamic:q9", 3)
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    g.save(p1)
-    KnowledgeGraph.load(p1).save(p2)
+    digest = g.save(p1)
+    assert KnowledgeGraph.load(p1, digest).save(p2) == digest
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -130,87 +131,93 @@ def test_saved_lines_are_compact_json_dumps_output(tmp_path):
     assert path.read_text(encoding="utf-8") == want
 
 
-def test_load_malformed_line_reports_line_number(tmp_path):
-    path = tmp_path / "graph.jsonl"
+def saved_then_edited(tmp_path, edit) -> tuple:
+    """A two-triple graph saved to a file, which is then overwritten with
+    ``edit(saved text)``: the path and the digest ``save`` returned."""
     g = KnowledgeGraph()
     g.insert("A", "r", "B", "doc:d1", 0)
     g.insert("C", "r", "D", "doc:d1", 0)
-    path.write_text(
-        "\n".join(line for line in g_dump_lines(g)) + "\nnot json\n", encoding="utf-8"
-    )
+    path = tmp_path / "graph.jsonl"
+    digest = g.save(path)
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    return path, digest
+
+
+def assert_rejected_by_digest(path, digest):
+    with pytest.raises(ParseError, match="changed since the snapshot was saved"):
+        KnowledgeGraph.load(path, digest)
+
+
+def test_load_malformed_line_reports_line_number(tmp_path):
+    path, digest = saved_then_edited(tmp_path, lambda text: text + "not json\n")
+    assert_rejected_by_digest(path, digest)
+    # a forged digest over the malformed file: a ParseError naming the
+    # line, not a traceback
     with pytest.raises(ParseError) as exc:
-        KnowledgeGraph.load(path)
+        KnowledgeGraph.load(path, file_sha256(path))
     assert exc.value.line == 3
 
 
-def g_dump_lines(g):
-    from subhop.kg import encode_record
-
-    return [encode_record(t) for t in g]
-
-
 @pytest.mark.parametrize(
-    "ids, line",
-    [([0, 2], 2), ([1, 0], 1), ([0, 1, 1], 3), ([0, True], 2)],
+    "ids",
+    [[0, 2], [1, 0], [0, 1, 1], [0, True]],
     ids=["gap", "out-of-order", "repeat", "boolean"],
 )
-def test_load_accepts_only_ids_in_file_order(tmp_path, ids, line):
-    path = tmp_path / "graph.jsonl"
+def test_load_accepts_only_ids_in_file_order(tmp_path, ids):
     records = [
         {"id": tid, "head": f"H{pos}", "relation": "r", "tail": "T", "provenance": "doc:d1",
          "step": 0}
         for pos, tid in enumerate(ids)
     ]
-    path.write_text("".join(json.dumps(r) + "\n" for r in records))
-    with pytest.raises(ParseError) as exc:
-        KnowledgeGraph.load(path)
-    assert exc.value.line == line
+    text = "".join(json.dumps(r) + "\n" for r in records)
+    assert_rejected_by_digest(*saved_then_edited(tmp_path, lambda _: text))
 
 
-def _write_records(path, fields):
-    path.write_text("".join(
+def _records_text(fields):
+    return "".join(
         json.dumps({"id": tid, "head": h, "relation": r, "tail": t, "provenance": "doc:d1",
                     "step": 0}) + "\n"
         for tid, (h, r, t) in enumerate(fields)
-    ), encoding="utf-8")
+    )
 
 
 def test_load_duplicate_dedup_key_rejected(tmp_path):
     # line 3 duplicates line 1 only once normalized and casefolded
-    path = tmp_path / "graph.jsonl"
-    _write_records(path, [("A b", "r", "B"), ("X", "r", "Y"), (" a  B", "R", "b\t")])
-    with pytest.raises(DuplicateKeyError, match="line 3"):
-        KnowledgeGraph.load(path)
+    text = _records_text([("A b", "r", "B"), ("X", "r", "Y"), (" a  B", "R", "b\t")])
+    assert_rejected_by_digest(*saved_then_edited(tmp_path, lambda _: text))
 
 
 def test_load_stores_fields_as_insert_does(tmp_path):
     fields = [("  Inception ", "directed\tby", "Christopher   Nolan"), ("A\n b", " r", "c ")]
-    path = tmp_path / "graph.jsonl"
-    _write_records(path, fields)
     inserted = KnowledgeGraph()
     for h, r, t in fields:
         inserted.insert(h, r, t, "doc:d1", 0)
-    assert KnowledgeGraph.load(path) == inserted
+    path = tmp_path / "graph.jsonl"
+    digest = inserted.save(path)
+    assert KnowledgeGraph.load(path, digest) == inserted
     assert [(t.head, t.relation, t.tail) for t in inserted] == [
         ("Inception", "directed by", "Christopher Nolan"), ("A b", "r", "c")]
+    # the same records, not normalized, are not what save wrote
+    path.write_text(_records_text(fields), encoding="utf-8")
+    assert_rejected_by_digest(path, digest)
 
 
 @pytest.mark.parametrize("position", [0, 1, 2], ids=["head", "relation", "tail"])
 def test_load_field_empty_after_normalization_names_its_line(tmp_path, position):
+    # the digest rejects the edited file before any line is read
     fields = ["X", "r", "Y"]
     fields[position] = " \t "
-    path = tmp_path / "graph.jsonl"
-    _write_records(path, [("A", "r", "B"), tuple(fields)])
-    with pytest.raises(ParseError) as exc:
-        KnowledgeGraph.load(path)
-    assert exc.value.line == 2
+    text = _records_text([("A", "r", "B"), tuple(fields)])
+    assert_rejected_by_digest(*saved_then_edited(tmp_path, lambda _: text))
 
 
 def test_load_missing_field(tmp_path):
-    path = tmp_path / "graph.jsonl"
-    path.write_text('{"id":0,"head":"A","relation":"r","provenance":"doc:d1","step":0}\n')
-    with pytest.raises(ParseError) as exc:
-        KnowledgeGraph.load(path)
+    path, digest = saved_then_edited(
+        tmp_path, lambda _: '{"id":0,"head":"A","relation":"r","provenance":"doc:d1","step":0}\n')
+    assert_rejected_by_digest(path, digest)
+    # under a forged digest the missing field is a ParseError naming its line
+    with pytest.raises(ParseError, match="missing field 'tail'") as exc:
+        KnowledgeGraph.load(path, file_sha256(path))
     assert exc.value.line == 1
 
 

@@ -12,6 +12,8 @@ from subhop.records import read_json, read_json_lines
 from subhop.stores import load_manifest
 from subhop.stub import load_stub_script
 
+from helpers import file_sha256
+
 
 def test_read_json_lines_skips_blank_lines_and_numbers_every_line(tmp_path):
     path = tmp_path / "r.jsonl"
@@ -87,7 +89,7 @@ NOT_UTF8 = b'\n  \n{"text": "caf\xe9"}\n'
     (ingest_corpus, ParseError),
     (lambda path: load_dataset(path, "generic"), ParseError),
     (lambda path: load_dataset(path, "hotpotqa"), ParseError),
-    (KnowledgeGraph.load, ParseError),
+    (lambda path: KnowledgeGraph.load(path, file_sha256(path)), ParseError),
     (lambda path: load_manifest(path.parent), ParseError),
     (load_stub_script, ParseError),
     (load_config, ConfigError),

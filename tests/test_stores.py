@@ -12,10 +12,11 @@ from subhop import vector
 from subhop.benchmark import QAExample, run_benchmark
 from subhop.embedders import FixtureEmbedder, HashedBagEmbedder
 from subhop.errors import EmbedderMismatch, ParseError
-from subhop.indexer import Corpus
+from subhop.indexer import Corpus, build_graph_index, ingest_corpus
 from subhop.kg import KnowledgeGraph
 from subhop.solver import (
     FallbackEvent,
+    fallback_answer_from_docs,
     retrieve_for_subquestion,
     solve,
     trace_to_dict,
@@ -30,9 +31,11 @@ from subhop.stores import (
     save_stores,
     snapshot_exists,
 )
+from subhop.stub import rule
 from subhop.vector import VectorIndex
 
 from helpers import (
+    TWO_HOP_CORPUS,
     TWO_HOP_QID,
     TWO_HOP_QUESTION,
     append_row,
@@ -42,8 +45,11 @@ from helpers import (
     dense,
     fresh_rules,
     index_rows,
+    save_hash_snapshot,
     stub_gateway,
     two_hop_ask_rules,
+    two_hop_index_rules,
+    write_corpus,
 )
 
 
@@ -248,7 +254,7 @@ def test_load_stores_rejects_graph_cut_at_a_line_boundary(tmp_path):
     snap = tmp_path / "snap"
     save_stores(world.stores, snap, world.embedder, world.corpus_path)
     drop_last_line(snap / GRAPH_FILE)
-    with pytest.raises(ParseError, match="graph triples"):
+    with pytest.raises(ParseError, match="changed since the snapshot was saved"):
         load_stores(snap, world.embedder)
 
 
@@ -329,7 +335,124 @@ def test_load_stores_rebuilds_the_indexes_bit_for_bit(tmp_path, solved_world):
     loaded = load_stores(snap, world.embedder)
     assert loaded.graph == world.stores.graph
     assert index_rows(loaded.triple_index) == index_rows(world.stores.triple_index)
-    assert index_rows(loaded.passage_index) == index_rows(world.stores.passage_index)
+    passages = loaded.passages(world.embedder)
+    assert len(passages) == len(loaded.corpus) > 0
+    assert index_rows(passages) == index_rows(world.stores.passages(world.embedder))
+
+
+class CountingEmbedder(HashedBagEmbedder):
+    """The ``hash`` embedder, counting the texts it embeds in batches
+    (``embed_many``, as an index fill does) and one at a time (``embed``,
+    as a query is embedded). While ``hold`` is set, ``embed_many`` sets
+    ``entered`` and then waits for ``release``."""
+
+    def __init__(self, dimension: int):
+        super().__init__(dimension)
+        self.batched = 0
+        self.single = 0
+        self.hold = False
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def embed(self, text):
+        self.single += 1
+        return super().embed(text)
+
+    def embed_many(self, texts):
+        if self.hold:
+            self.entered.set()
+            assert self.release.wait(timeout=60)
+        self.batched += len(texts)
+        return super().embed_many(texts)
+
+
+class MeetingLock:
+    """A lock that sets ``met`` when a second caller arrives at it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._arrivals = 0
+        self.met = threading.Event()
+
+    def __enter__(self):
+        self._arrivals += 1
+        if self._arrivals == 2:
+            self.met.set()
+        self._lock.acquire()
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+def test_load_embeds_the_graph_and_the_first_fallback_the_corpus_once(tmp_path):
+    corpus_path = write_corpus(tmp_path / "corpus.jsonl", TWO_HOP_CORPUS)
+    corpus = ingest_corpus(corpus_path)
+    embedder = CountingEmbedder(dimension=64)
+    graph, triple_index, passage_index, _ = build_graph_index(
+        corpus, stub_gateway(two_hop_index_rules()), embedder)
+    assert len(graph) == 3 and len(passage_index) == 0
+    assert (embedder.batched, embedder.single) == (len(graph), 0)  # no passage
+    save_stores(Stores(graph, triple_index, passage_index, corpus), tmp_path / "snap",
+                embedder, corpus_path)
+
+    embedder = CountingEmbedder(dimension=64)
+    stores = load_stores(tmp_path / "snap", embedder)
+    assert (embedder.batched, embedder.single) == (len(graph), 0)  # no passage
+    assert len(stores.passage_index) == 0
+
+    # two first fallbacks meet: the second arrives at the passage lock while
+    # the first is embedding the corpus under it
+    stores.passage_lock = lock = MeetingLock()
+    gateway = stub_gateway([rule("answer_from_docs", {"answer": "Christopher Nolan"}, repeat=True),
+                            rule("extract_triples", [], repeat=True)])
+    events: list[FallbackEvent | None] = [None, None, None]
+
+    def fall_back(slot: int) -> None:
+        events[slot] = fallback_answer_from_docs("Who directed Inception?", stores, gateway,
+                                                 embedder, 2, [])
+
+    embedder.hold = True
+    first = threading.Thread(target=fall_back, args=(0,))
+    first.start()
+    assert embedder.entered.wait(timeout=60)
+    second = threading.Thread(target=fall_back, args=(1,))
+    second.start()
+    assert lock.met.wait(timeout=60)
+    embedder.release.set()
+    for thread in (first, second):
+        thread.join(timeout=60)
+    assert not first.is_alive() and not second.is_alive()
+    assert embedder.batched == len(graph) + len(corpus)
+    assert embedder.single == 2  # each fallback's query
+    assert events[0] == events[1] and events[0].retrieved_doc_ids[0] == "d1"
+    # a later fallback embeds its query alone
+    fall_back(2)
+    assert (embedder.batched, embedder.single) == (len(graph) + len(corpus), 3)
+    assert events[2] == events[0]
+    assert len(stores.passage_index) == len(corpus)
+
+
+def test_a_loaded_graph_builds_its_key_index_at_the_first_write_back(tmp_path):
+    embedder = HashedBagEmbedder(dimension=64)
+    loaded = load_stores(save_hash_snapshot(tmp_path, 40), embedder)
+    graph = loaded.graph
+    graph.stats(), list(graph), graph.lookup(3)  # what graph stats and export read
+    assert graph._key_index is None
+    # a restated fact, in other case and spacing, gets no new id; the
+    # stored "ß" casefolds to "ss"
+    assert graph.lookup(3)[1:4] == ("entity 3", "r", "entity 1 ß")
+    restated = FallbackEvent(new_triples=[("  ENTITY\t3", "R", "entity 1 SS")])
+    update_graph_with_new_triples(loaded, restated, "q1", 1, embedder)
+    assert restated.written_back_ids == [] and len(graph) == 40
+    new = FallbackEvent(new_triples=[("entity 3", "r", "entity 2")])
+    update_graph_with_new_triples(loaded, new, "q1", 1, embedder)
+    assert new.written_back_ids == [40]
+    # the key index equals the one a graph built by insert holds
+    inserted = KnowledgeGraph()
+    for key in range(40):
+        inserted.insert(f"entity {key}", "r", f"entity {key // 2} ß", "doc:d1", 0)
+    inserted.insert("entity 3", "r", "entity 2", "dynamic:q1", 1)
+    assert graph == inserted and graph._key_index == inserted._key_index
 
 
 # -- safe save -----------------------------------------------------------------

@@ -31,8 +31,9 @@ def test_the_tracer_misses_exactly_the_stale_entry_points():
 
 
 def test_the_traced_embedder_loads_the_same_rows(tmp_path):
-    # the proxy has only ``embed``, so a traced load fills both indexes
-    # one text at a time, where an untraced one hashes them in batches
+    # the proxy has only ``embed``, so a traced load fills the triple
+    # index, and a traced first fallback the passage index, one text at a
+    # time, where an untraced one hashes them in batches
     embedder = HashedBagEmbedder(dimension=64)
     snap = save_hash_snapshot(tmp_path, 300)
     traced = Tracer().embedder(embedder)
@@ -40,4 +41,6 @@ def test_the_traced_embedder_loads_the_same_rows(tmp_path):
     untraced = load_stores(snap, embedder)
     loaded = load_stores(snap, traced)
     assert index_rows(loaded.triple_index) == index_rows(untraced.triple_index)
-    assert index_rows(loaded.passage_index) == index_rows(untraced.passage_index)
+    passages = loaded.passages(traced)
+    assert len(passages) == len(loaded.corpus) > 0
+    assert index_rows(passages) == index_rows(untraced.passages(embedder))

@@ -14,16 +14,17 @@ from subhop.config import Config
 from subhop.embedders import Embedding, FixtureEmbedder, HashedBagEmbedder, Rows
 from subhop.errors import DimensionMismatch
 from subhop.gateway import Gateway
-from subhop.indexer import embed_indexes, ingest_corpus
+from subhop.indexer import ingest_corpus
 from subhop.kg import KnowledgeGraph, Triple, dedup_key
 from subhop.solver import QuestionTrace, SubAnswer, solve, trace_to_json
-from subhop.stores import Stores, load_stores, save_stores
+from subhop.stores import load_stores, save_stores
 from subhop.vector import EXTEND_CHUNK, VectorIndex, verbalize_triple
 
 from helpers import (
     TWO_HOP_CORPUS,
     append_row,
     dense,
+    graph_stores,
     index_rows,
     oracle_cosine_top_k,
     save_hash_snapshot,
@@ -355,7 +356,7 @@ def test_first_write_back_after_load_does_not_copy_the_rows(tmp_path):
     graph = KnowledgeGraph()
     for key in range(64):
         graph.insert(f"entity {key}", "r", f"entity {key + 1}", "doc:d1", 0)
-    stores = Stores(graph, *embed_indexes(graph, corpus, embedder), corpus)
+    stores = graph_stores(graph, corpus, embedder)
     save_stores(stores, tmp_path / "snap", embedder, corpus_path)
     loaded = load_stores(tmp_path / "snap", embedder).triple_index
     postings = list(loaded._postings)
@@ -758,8 +759,10 @@ def test_top_k_equals_the_reference_on_every_benchmark_sub_question(tmp_path, mo
         solve(f"q{i}", question.question, Config(parallelism=1), stores, gateway, embedder)
     monkeypatch.undo()
     assert len(set(asked)) >= 2 * len(run.inputs.questions)
+    passage_index = stores.passages(embedder)
+    assert len(passage_index) == len(stores.corpus) > 0
     for text in sorted(set(asked)):
-        for index in (stores.triple_index, stores.passage_index):
+        for index in (stores.triple_index, passage_index):
             for k in (1, 5, 10):
                 assert hexed(index.top_k(text, k, embedder)) == hexed(
                     reference_top_k(index, embedder, text, k)), (text, k)
@@ -788,7 +791,7 @@ def test_bulk_fill_equals_upserts(tmp_path):
     graph = KnowledgeGraph()
     for key in range(40):
         graph.insert(f"entity {key}", "r", f"entity {key + 1}", "doc:d1", 0)
-    stores = Stores(graph, *embed_indexes(graph, corpus, embedder), corpus)
+    stores = graph_stores(graph, corpus, embedder)
     save_stores(stores, tmp_path / "snap", embedder, corpus_path)
     loaded = load_stores(tmp_path / "snap", embedder)
     assert index_rows(loaded.triple_index) == index_rows(stores.triple_index)
@@ -879,4 +882,6 @@ def test_an_embedder_without_embed_many_loads_the_same_rows(tmp_path):
     batched = load_stores(snap, embedder)
     one_by_one = load_stores(snap, _EmbedOnly(embedder))
     assert index_rows(one_by_one.triple_index) == index_rows(batched.triple_index)
-    assert index_rows(one_by_one.passage_index) == index_rows(batched.passage_index)
+    passages = one_by_one.passages(_EmbedOnly(embedder))
+    assert len(passages) == len(one_by_one.corpus) > 0
+    assert index_rows(passages) == index_rows(batched.passages(embedder))
