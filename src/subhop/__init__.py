@@ -1,9 +1,9 @@
 """Sub-question driven graph RAG with a dynamically updated triple store."""
 
 from .config import Config, load_config
-from .embedders import Embedding, FixtureEmbedder, HashedBagEmbedder, make_embedder
+from .embedders import Embedding, HashedBagEmbedder, make_embedder
 from .gateway import ChatRequest, Gateway
-from .kg import KnowledgeGraph, Triple, dedup_key
+from .kg import KnowledgeGraph, Triple
 from .solver import QuestionTrace, solve
 from .stores import Stores, load_stores, save_stores
 from .vector import VectorIndex, verbalize_triple
@@ -14,7 +14,6 @@ __all__ = [
     "ChatRequest",
     "Config",
     "Embedding",
-    "FixtureEmbedder",
     "Gateway",
     "HashedBagEmbedder",
     "KnowledgeGraph",
@@ -23,7 +22,6 @@ __all__ = [
     "Triple",
     "VectorIndex",
     "__version__",
-    "dedup_key",
     "load_config",
     "load_stores",
     "make_embedder",

@@ -21,7 +21,7 @@ from .benchmark import (
     write_report_files,
 )
 from .config import Config, load_config
-from .embedders import make_embedder
+from .embedders import HashedBagEmbedder
 from .errors import ConfigError, SubhopError
 from .gateway import Gateway
 from .indexer import build_graph_index, ingest_corpus
@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--backend", choices=["stub", "remote"])
     parser.add_argument("--model")
     parser.add_argument("--endpoint")
-    parser.add_argument("--embedder")
     parser.add_argument("--embedding-dim", type=int, dest="embedding_dim")
     parser.add_argument("--k-triples", type=int, dest="k_triples")
     parser.add_argument("--k-docs", type=int, dest="k_docs")
@@ -64,7 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_index = sub.add_parser("index", help="build the graph and vector indexes")
-    p_index.add_argument("--corpus", required=True, help="line-JSON corpus file")
+    # SUPPRESS: unless given, it leaves the global or environment corpus standing
+    p_index.add_argument("--corpus", default=argparse.SUPPRESS,
+                         help="line-JSON corpus file (default: the corpus field)")
     p_index.add_argument("--force", action="store_true", help="overwrite an existing snapshot")
 
     p_ask = sub.add_parser("ask", help="answer one question")
@@ -117,7 +118,7 @@ def question_id_for(question: str) -> str:
 
 
 def _load_snapshot(config: Config):
-    embedder = make_embedder(config.embedder, config.embedding_dim)
+    embedder = HashedBagEmbedder(config.embedding_dim)
     stores = load_stores(
         config.snapshot_dir, embedder, corpus_path=config.corpus or None
     )
@@ -125,7 +126,9 @@ def _load_snapshot(config: Config):
 
 
 def cmd_index(args: argparse.Namespace, config: Config) -> int:
-    corpus_path = Path(args.corpus)
+    if not config.corpus:
+        raise ConfigError("index needs a corpus: pass --corpus or set SUBHOP_CORPUS")
+    corpus_path = Path(config.corpus)
     if snapshot_exists(config.snapshot_dir) and not args.force:
         print(
             f"error: snapshot already exists in {config.snapshot_dir} "
@@ -134,7 +137,7 @@ def cmd_index(args: argparse.Namespace, config: Config) -> int:
         )
         return EXIT_MISSING
     corpus = ingest_corpus(corpus_path)
-    embedder = make_embedder(config.embedder, config.embedding_dim)
+    embedder = HashedBagEmbedder(config.embedding_dim)
     gateway = build_gateway(config)
     graph, triple_index, passage_index, report = build_graph_index(
         corpus, gateway, embedder,

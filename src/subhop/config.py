@@ -27,7 +27,6 @@ class Config:
     endpoint: str = ""
     model: str = "gpt-4o-mini"
     api_key: str = ""
-    embedder: str = "hash"
     embedding_dim: int = 256
     k_triples: int = 5                 # triples retrieved per sub-question
     k_docs: int = 5                    # passages retrieved in the fallback
@@ -46,7 +45,7 @@ class Config:
     snapshot_dir: str = "snapshot"
     run_dir: str = "runs"
     stub_script: str = ""
-    corpus: str = ""                   # optional corpus path override
+    corpus: str = ""                   # index reads it; ask/eval: overrides the manifest's
     wire_log: str = ""
 
     def validate(self) -> None:

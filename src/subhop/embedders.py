@@ -3,9 +3,8 @@
 The retrieval layer only needs a deterministic ``embed(text)`` with a
 fixed dimension. The default is a hashed bag-of-words embedder: fully
 offline, stable across processes, and good enough for token-overlap
-ranking. Tests use FixtureEmbedder to pin exact vectors per string. A
-real sentence-encoder can be plugged in by implementing the same
-protocol.
+ranking. A real sentence-encoder can be plugged in by implementing the
+same protocol.
 
 An embedder may also have ``embed_many(texts)``, which returns ``Rows``:
 the same vectors as ``embed`` of each text, bit for bit, as flat arrays.
@@ -20,7 +19,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -193,44 +192,9 @@ class _TokenCodes(dict):
         return code
 
 
-class FixtureEmbedder:
-    """Maps exact strings to preset vectors; used to pin retrieval ranks
-    in tests. Unknown text raises unless a default vector is given."""
-
-    def __init__(
-        self,
-        vectors: Mapping[str, Sequence[float]],
-        default: Sequence[float] | None = None,
-        name: str = "fixture",
-    ):
-        if not vectors and default is None:
-            raise ConfigError("fixture embedder needs at least one vector")
-        dims = {len(v) for v in vectors.values()}
-        if default is not None:
-            dims.add(len(default))
-        if len(dims) != 1:
-            raise ConfigError(f"fixture vectors disagree on dimension: {sorted(dims)}")
-        self.name = name
-        self.dimension = dims.pop()
-        self._vectors = {text: Embedding.of(v) for text, v in vectors.items()}
-        self._default = Embedding.of(default) if default is not None else None
-
-    def add(self, text: str, values: Sequence[float]) -> None:
-        if len(values) != self.dimension:
-            raise ConfigError("vector dimension mismatch")
-        self._vectors[text] = Embedding.of(values)
-
-    def embed(self, text: str) -> Embedding:
-        found = self._vectors.get(text)
-        if found is not None:
-            return found
-        if self._default is not None:
-            return self._default
-        raise KeyError(f"fixture embedder has no vector for {text!r}")
-
-
 def make_embedder(name: str, dimension: int) -> Embedder:
-    """Build an embedder from config values."""
+    """The embedder called ``name`` (only ``hash`` is built in) of this
+    dimension."""
     if name == "hash":
         return HashedBagEmbedder(dimension)
     raise ConfigError(f"unknown embedder {name!r} (available: hash)")

@@ -26,15 +26,6 @@ def normalize_field(value: str) -> str:
     return " ".join(value.split())
 
 
-def dedup_key(head: str, relation: str, tail: str) -> DedupKey:
-    """Case- and whitespace-insensitive identity of a triple."""
-    return (
-        normalize_field(head).casefold(),
-        normalize_field(relation).casefold(),
-        normalize_field(tail).casefold(),
-    )
-
-
 def _normalize(head: str, relation: str, tail: str) -> tuple[tuple[str, str, str], DedupKey]:
     """Normalized fields and dedup key; EmptyField if a field trims to nothing."""
     # normalize_field, written out: an index build runs this once per extracted row

@@ -51,20 +51,10 @@ class TemplateRegistry:
                 raise TemplateError(f"template file {candidate} is not UTF-8 text") from None
         return cls(templates)
 
-    def __len__(self) -> int:
-        return len(self._templates)
-
-    def placeholders(self, name: str) -> frozenset[str]:
-        self._require(name)
-        return self._placeholders[name]
-
-    def _require(self, name: str) -> None:
-        if name not in self._templates:
-            raise TemplateError(f"unknown template {name!r}")
-
     def render(self, name: str, variables: Mapping[str, object]) -> str:
-        self._require(name)
-        needed = self._placeholders[name]
+        needed = self._placeholders.get(name)
+        if needed is None:
+            raise TemplateError(f"unknown template {name!r}")
         missing = sorted(needed - set(variables))
         if missing:
             raise TemplateError(f"template {name!r} missing bindings for {missing}")

@@ -7,14 +7,17 @@ import json
 import math
 import re
 import threading
+import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from subhop.config import Config
-from subhop.embedders import Embedder, Embedding, FixtureEmbedder, HashedBagEmbedder
+from subhop.embedders import Embedder, Embedding, HashedBagEmbedder
+from subhop.errors import ConfigError
 from subhop.gateway import Gateway
 from subhop.indexer import Corpus, build_graph_index, embed_triples, ingest_corpus
 from subhop.kg import KnowledgeGraph
@@ -42,6 +45,42 @@ class RecordingStub(StubBackend):
 
 def stub_gateway(rules: list[StubRule]) -> Gateway:
     return Gateway(REGISTRY, RecordingStub(rules))
+
+
+class FixtureEmbedder:
+    """Maps exact strings to preset vectors; pins retrieval ranks in
+    tests. Unknown text raises unless a default vector is given."""
+
+    def __init__(
+        self,
+        vectors: Mapping[str, Sequence[float]],
+        default: Sequence[float] | None = None,
+        name: str = "fixture",
+    ):
+        if not vectors and default is None:
+            raise ConfigError("fixture embedder needs at least one vector")
+        dims = {len(v) for v in vectors.values()}
+        if default is not None:
+            dims.add(len(default))
+        if len(dims) != 1:
+            raise ConfigError(f"fixture vectors disagree on dimension: {sorted(dims)}")
+        self.name = name
+        self.dimension = dims.pop()
+        self._vectors = {text: Embedding.of(v) for text, v in vectors.items()}
+        self._default = Embedding.of(default) if default is not None else None
+
+    def add(self, text: str, values: Sequence[float]) -> None:
+        if len(values) != self.dimension:
+            raise ConfigError("vector dimension mismatch")
+        self._vectors[text] = Embedding.of(values)
+
+    def embed(self, text: str) -> Embedding:
+        found = self._vectors.get(text)
+        if found is not None:
+            return found
+        if self._default is not None:
+            return self._default
+        raise KeyError(f"fixture embedder has no vector for {text!r}")
 
 
 def basis_vector(index: int, dimension: int) -> list[float]:
@@ -127,11 +166,18 @@ class MockChatServer:
     """Plays back a list of responses in order. A ``(status, text)`` entry
     is a chat completion of ``text`` (status 200) or an error body; a
     ``bytes`` entry is written to the socket as the whole reply, status
-    line and headers included, and the connection is closed."""
+    line and headers included, and the connection is closed; a ``None``
+    entry stalls: no reply comes before the server shuts down.
 
-    def __init__(self, script: list[tuple[int, str] | bytes]):
+    Each request's body, ``Authorization`` header (None if absent) and
+    arrival time (``time.monotonic()``) are kept, in arrival order."""
+
+    def __init__(self, script: list[tuple[int, str] | bytes | None]):
         self.script = list(script)
         self.requests: list[dict] = []
+        self.authorizations: list[str | None] = []
+        self.arrivals: list[float] = []
+        self._closing = threading.Event()
         lock = threading.Lock()
         outer = self
 
@@ -140,8 +186,14 @@ class MockChatServer:
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length)) if length else {}
                 with lock:
+                    outer.arrivals.append(time.monotonic())
                     outer.requests.append(body)
+                    outer.authorizations.append(self.headers.get("Authorization"))
                     entry = outer.script.pop(0) if outer.script else (500, "exhausted")
+                if entry is None:
+                    outer._closing.wait()
+                    self.close_connection = True
+                    return
                 if isinstance(entry, bytes):
                     self.wfile.write(entry)
                     self.close_connection = True
@@ -177,6 +229,7 @@ class MockChatServer:
         return self
 
     def __exit__(self, *exc) -> None:
+        self._closing.set()
         self._server.shutdown()
         self._server.server_close()
 

@@ -12,7 +12,7 @@ import pytest
 from subhop.benchmark import load_dataset, run_benchmark
 from subhop.cli import run
 from subhop.config import Config, load_config
-from subhop.embedders import FixtureEmbedder, HashedBagEmbedder
+from subhop.embedders import HashedBagEmbedder
 from subhop.kg import KnowledgeGraph
 from subhop.metrics import exact_match, token_f1
 from subhop.solver import (
@@ -30,6 +30,7 @@ from subhop.vector import VectorIndex
 from helpers import (
     TWO_HOP_QID,
     TWO_HOP_QUESTION,
+    FixtureEmbedder,
     append_row,
     basis_vector,
     build_benchmark_fixture,
@@ -482,7 +483,7 @@ def test_live_smoke(tmp_path):
     from subhop.embedders import make_embedder
     from subhop.indexer import build_graph_index, ingest_corpus
 
-    embedder = make_embedder(config.embedder, config.embedding_dim)
+    embedder = make_embedder("hash", config.embedding_dim)
     gateway = build_gateway(config)
     graph, ti, pi, report = build_graph_index(ingest_corpus(corpus), gateway, embedder)
     stores = Stores(graph=graph, triple_index=ti, passage_index=pi,

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from importlib import resources
 from pathlib import Path
 
@@ -98,8 +99,34 @@ def test_index_into_the_corpus_directory_keeps_the_corpus(env, capsys):
     assert "Emma Thomas" in capsys.readouterr().out
 
 
-def test_index_usage_error_without_corpus_flag(env):
+def _manifest(env) -> dict:
+    return json.loads((env["snapshot"] / "manifest.json").read_text(encoding="utf-8"))
+
+
+def test_index_usage_error_without_corpus_flag(env, capsys, monkeypatch):
+    monkeypatch.delenv("SUBHOP_CORPUS", raising=False)
     assert run(base_args(env, "index_script") + ["index"]) == 2
+    err = capsys.readouterr().err
+    assert "--corpus" in err and "SUBHOP_CORPUS" in err
+
+
+@pytest.mark.parametrize("source", ["environment", "global-flag"])
+def test_index_reads_the_corpus_field(env, monkeypatch, source):
+    args = base_args(env, "index_script") + ["index"]
+    if source == "environment":
+        monkeypatch.setenv("SUBHOP_CORPUS", str(env["corpus"]))
+    else:
+        monkeypatch.delenv("SUBHOP_CORPUS", raising=False)
+        args = ["--corpus-path", str(env["corpus"])] + args
+    assert run(args) == 0
+    assert _manifest(env)["corpus_path"] == str(env["corpus"])
+
+
+def test_index_corpus_flag_wins_over_the_environment(env, monkeypatch):
+    monkeypatch.setenv("SUBHOP_CORPUS", str(write_corpus(env["tmp"] / "other.jsonl",
+                                                         TWO_HOP_CORPUS)))
+    assert do_index(env) == 0
+    assert _manifest(env)["corpus_path"] == str(env["corpus"])
 
 
 def test_ask_two_hop(env, capsys):
@@ -136,6 +163,64 @@ def test_ask_trace_and_memory(env, capsys, monkeypatch):
     assert data["final_answer"] == "Emma Thomas"
     dynamic = [t for t in data["memory"] if t["relation"] == "spouse"]
     assert dynamic
+
+
+def _wire_log_entries(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_templates_dir_supplies_the_prompts(env, monkeypatch):
+    templates = env["tmp"] / "templates"
+    shutil.copytree(resources.files("subhop") / "templates", templates)
+    (templates / "final_answer.txt").write_text(
+        "A custom final prompt for {question}\n{memory}\n", encoding="utf-8")
+    wire_log = env["tmp"] / "wire.jsonl"
+    monkeypatch.setenv("SUBHOP_WIRE_LOG", str(wire_log))
+    assert do_index(env) == 0
+    assert run(["--templates-dir", str(templates)] + base_args(env, "ask_script")
+               + ["ask", TWO_HOP_QUESTION]) == 0
+    prompts = [e["prompt"] for e in _wire_log_entries(wire_log) if e["template"] == "final_answer"]
+    assert prompts == [f"A custom final prompt for {TWO_HOP_QUESTION}\n"
+                       "step 1: Inception | directed by | Christopher Nolan\n"
+                       "step 2: Christopher Nolan | spouse | Emma Thomas\n"]
+
+
+def test_extract_char_budget_splits_a_long_document(env, monkeypatch):
+    paragraphs = [f"Film{i} was directed by Director{i} in the year 200{i}." for i in range(4)]
+    write_corpus(env["corpus"], [{"id": "d1", "title": "Films", "text": "\n\n".join(paragraphs)}])
+    write_script(env["index_script"], [rule("extract_triples", [], repeat=True)])
+    wire_log = env["tmp"] / "wire.jsonl"
+    monkeypatch.setenv("SUBHOP_WIRE_LOG", str(wire_log))
+    calls = {}
+    for budget in ("8000", "60"):
+        monkeypatch.setenv("SUBHOP_EXTRACT_CHAR_BUDGET", budget)
+        wire_log.unlink(missing_ok=True)
+        assert do_index(env, extra=["--force"]) == 0
+        calls[budget] = len(_wire_log_entries(wire_log))
+    assert calls == {"8000": 1, "60": 4}
+
+
+def test_parallelism_sets_the_eval_threads(env, monkeypatch):
+    dataset = _eval_fixture(env)
+    assert do_index(env) == 0
+    real_solve, threads, barrier = cli.solve, [], None
+
+    def solve_in_pairs(*args):
+        threads.append(threading.get_ident())
+        if barrier is not None:
+            barrier.wait()  # passes only while two questions are solved at once
+        return real_solve(*args)
+
+    monkeypatch.setattr(cli, "solve", solve_in_pairs)
+    seen = {}
+    for parallelism in (1, 2):
+        threads.clear()
+        barrier = threading.Barrier(2, timeout=30) if parallelism == 2 else None
+        assert run(base_args(env, "ask_script") + ["--parallelism", str(parallelism),
+                                                   "eval", "--dataset", str(dataset)]) == 0
+        seen[parallelism] = set(threads)
+    assert seen[1] == {threading.get_ident()}
+    assert len(seen[2]) == 2 and threading.get_ident() not in seen[2]
 
 
 def test_ask_missing_snapshot_exits_3(env, capsys):

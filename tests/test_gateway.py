@@ -1,5 +1,6 @@
 import json
 import re
+from importlib import resources
 
 import pytest
 
@@ -19,9 +20,10 @@ from subhop.remote import RemoteBackend
 from subhop.stub import StubBackend, load_stub_script, rule
 from subhop.templates import TEMPLATE_NAMES, TemplateRegistry
 
-from helpers import REGISTRY, MockChatServer, raw_reply, stub_gateway
+from helpers import REGISTRY, MockChatServer, raw_reply, stub_gateway, write_script
 
 
+PACKAGED_TEMPLATES = resources.files("subhop") / "templates"
 DECOMPOSE_TEXT = "1. Who directed Inception?\n2. Who is the spouse of #1?"
 
 
@@ -177,7 +179,9 @@ def test_budget_views_are_independent():
 
 
 def test_load_templates_registry_of_six():
-    assert len(REGISTRY) == 6
+    assert sorted(path.name for path in PACKAGED_TEMPLATES.iterdir()
+                  if path.name.endswith(".txt")) == sorted(f"{n}.txt" for n in TEMPLATE_NAMES)
+    assert len(TEMPLATE_NAMES) == 6
     assert set(TEMPLATE_NAMES) == {
         "extract_triples", "decompose", "rewrite", "answer_from_triples",
         "answer_from_docs", "final_answer",
@@ -211,8 +215,11 @@ def test_no_placeholder_survives_rendering():
         "memory": "step 1: A | r | B",
     }
     for name in TEMPLATE_NAMES:
+        text = (PACKAGED_TEMPLATES / f"{name}.txt").read_text(encoding="utf-8")
+        placeholders = set(re.findall(r"\{([A-Za-z_][A-Za-z0-9_]*)\}", text))
+        assert placeholders
         rendered = REGISTRY.render(name, bindings)
-        for placeholder in REGISTRY.placeholders(name):
+        for placeholder in placeholders:
             assert "{%s}" % placeholder not in rendered
 
 
@@ -302,6 +309,62 @@ def test_build_gateway_sends_configured_max_tokens():
         payload = server.requests[0]
     assert payload["max_tokens"] == 99
     assert payload["temperature"] == 0.0
+
+
+FINAL_ANSWER = ChatRequest("final_answer", {"question": "q", "memory": "m"})
+
+
+def _remote_config(server: MockChatServer, **fields) -> Config:
+    return Config(backend="remote", endpoint=server.endpoint, **fields)
+
+
+def test_backend_and_endpoint_pick_who_answers(tmp_path):
+    script = write_script(tmp_path / "script.json", [rule("final_answer", "stub")])
+    with MockChatServer([(200, "a")]) as a, MockChatServer([(200, "b")]) as b:
+        texts = [
+            build_gateway(_remote_config(b)).complete(FINAL_ANSWER).text,
+            build_gateway(Config(endpoint=a.endpoint, stub_script=str(script)))
+            .complete(FINAL_ANSWER).text,
+        ]
+    assert texts == ["b", "stub"]
+    assert (len(a.requests), len(b.requests)) == (0, 1)
+
+
+def test_build_gateway_sends_configured_model_and_api_key():
+    with MockChatServer([(200, "ok")] * 2) as server:
+        build_gateway(_remote_config(server, model="m-1", api_key="sk-1")).complete(FINAL_ANSWER)
+        build_gateway(_remote_config(server)).complete(FINAL_ANSWER)
+    assert [payload["model"] for payload in server.requests] == ["m-1", "gpt-4o-mini"]
+    assert server.authorizations == ["Bearer sk-1", None]
+
+
+@pytest.mark.parametrize("retry_limit", [0, 2])
+def test_retry_limit_caps_the_requests(retry_limit):
+    with MockChatServer([(503, "busy")] * 4) as server:
+        gw = build_gateway(_remote_config(server, retry_limit=retry_limit, backoff_base=0))
+        with pytest.raises(BackendError):
+            gw.complete(FINAL_ANSWER)
+    assert len(server.requests) == retry_limit + 1
+
+
+def test_backoff_base_spaces_the_retries():
+    gaps = {}
+    for backoff_base in (0, 0.3):
+        with MockChatServer([(503, "busy"), (200, "ok")]) as server:
+            gw = build_gateway(_remote_config(server, retry_limit=1, backoff_base=backoff_base))
+            assert gw.complete(FINAL_ANSWER).attempts == 2
+        gaps[backoff_base] = server.arrivals[1] - server.arrivals[0]
+    assert gaps[0] < 0.3 <= gaps[0.3]
+
+
+def test_request_timeout_gives_up_on_a_stalled_reply():
+    with MockChatServer([None, (200, "ok")]) as server:
+        gw = build_gateway(
+            _remote_config(server, request_timeout=0.2, retry_limit=1, backoff_base=0))
+        result = gw.complete(FINAL_ANSWER)
+    assert (result.text, result.attempts) == ("ok", 2)
+    # the default timeout, 30 s, would still be waiting on the first reply
+    assert 0.2 <= server.arrivals[1] - server.arrivals[0] < 5
 
 
 def test_remote_frees_in_flight_slot_while_backing_off():

@@ -46,7 +46,7 @@ GOLDEN = {
     "full/traces":
         "b2ca097cba5f421ea741db73a6a3d2039ffe28805186dc94bf24edb0397abe56",
     "full/report":
-        "c5fc1efd4dfdcf504d3e5333f912c29ca0eabb445535c1a14588c8a4438ac40c",
+        "54e4463e56ecb83739d88dad1fdef65cc292f74aebafdf71ffbb45659dbd8b14",
     "full/graph":
         "d542c68f90c2101a3fbd126634d21163b3b949634a0e4a133106b210e8d17688",
     "full/prompts":
@@ -54,7 +54,7 @@ GOLDEN = {
     "no_decomposition/traces":
         "31c50b194b42f4df152bd4ddf55463b0b10908c9707934b76bb605a95b94b376",
     "no_decomposition/report":
-        "583571f2c59f1bf4108f988d43abab8011b865cbe2c5b087146566e45a40a744",
+        "936697e888f46ed7626cf52d25c21b6bcda1a568cf87f09b0a396ee80a8e471b",
     "no_decomposition/graph":
         "d542c68f90c2101a3fbd126634d21163b3b949634a0e4a133106b210e8d17688",
     "no_decomposition/prompts":
@@ -62,7 +62,7 @@ GOLDEN = {
     "no_rewriting/traces":
         "b2ca097cba5f421ea741db73a6a3d2039ffe28805186dc94bf24edb0397abe56",
     "no_rewriting/report":
-        "28230ddd0eac0975193fb74e2c64e0c200696af6b22a7634d65977eb1b5663fd",
+        "6a3434a37d0eb501e9ff728c57cafe17855836b72b2bb86436de6dacf80ec079",
     "no_rewriting/graph":
         "d542c68f90c2101a3fbd126634d21163b3b949634a0e4a133106b210e8d17688",
     "no_rewriting/prompts":
@@ -70,7 +70,7 @@ GOLDEN = {
     "no_update/traces":
         "ddf7532614a6fa3daa4ec4540fde03e24d36e37bb2a964f557150b077e5abc4b",
     "no_update/report":
-        "bd9a8c4dcb48aae0f6fdef9bfd55ea93c28c399eb720c55974b5ca252183a45b",
+        "0d7cab4c005c2bc2851e5de87f49e4cfb1e47ca7615205852cdd6128da1324d1",
     "no_update/graph":
         "864dd7e8950450be9e7f49d2afe5c1285be845081fd6938bf7fac8fd0fee3784",
     "no_update/prompts":

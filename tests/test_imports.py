@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private name it defines at module level is read there."""
+"""Every name a module of the package imports is used in that module,
+every private name it defines at module level is read there, and every
+public name it defines is read by the package or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,14 @@ import pytest
 import subhop
 
 SOURCES = sorted(Path(subhop.__file__).parent.glob("*.py"))
+# the code whose reads keep a public name in the package: not
+# ``__init__.py``, which only re-exports, and not a test
+READERS = [path for path in SOURCES if path.name != "__init__.py"] + [
+    path for path in sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+    if not path.name.startswith("test_")
+]
+# public names that nothing in READERS reads, each kept for a reason
+UNREAD_ALLOWED = {"Embedding.of": "README: builds an Embedding for a user's embedder"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -97,3 +106,74 @@ def test_the_check_finds_an_orphaned_private_name():
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
 def test_module_reads_every_private_name_it_defines(path):
     assert orphaned_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def public_definitions(source: str) -> list[str]:
+    """The public module-level functions and classes of ``source``, and
+    the public methods of its public classes as ``Class.method``."""
+    names: list[str] = []
+    for node in ast.parse(source).body:
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                or node.name.startswith("_")):
+            continue
+        names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not item.name.startswith("_")]
+    return names
+
+
+def names_read(source: str) -> set[str]:
+    """Every name ``source`` loads and every attribute it reads; ``x.of``
+    reads ``of`` of whatever ``x`` is."""
+    read: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def unread_public_names(definitions: list[str], read: set[str]) -> list[str]:
+    return [name for name in definitions if name.rpartition(".")[2] not in read]
+
+
+def _read_by_readers() -> set[str]:
+    read: set[str] = set()
+    for path in READERS:
+        read |= names_read(path.read_text(encoding="utf-8"))
+    return read
+
+
+def test_the_check_finds_an_unread_public_name():
+    source = (
+        "def used():\n    return Kept().run()\n"
+        "def unused():\n    pass\n"
+        "class Kept:\n    def run(self):\n        pass\n"
+        "    def idle(self):\n        pass\n"
+        "    def __len__(self):\n        return 0\n"
+        "class _Private:\n    def idle(self):\n        pass\n"
+        "used()\n"
+    )
+    assert unread_public_names(public_definitions(source), names_read(source)) == [
+        "unused", "Kept.idle"]
+
+
+def test_every_public_name_is_read_by_the_package_or_the_benchmark():
+    read = _read_by_readers()
+    unread = [f"{path.name}: {name}" for path in SOURCES if path.name != "__init__.py"
+              for name in unread_public_names(
+                  public_definitions(path.read_text(encoding="utf-8")), read)
+              if name not in UNREAD_ALLOWED]
+    assert unread == []
+
+
+def test_every_allowed_unread_name_is_defined_and_unread():
+    defined = {name for path in SOURCES
+               for name in public_definitions(path.read_text(encoding="utf-8"))}
+    read = _read_by_readers()
+    stale = [name for name in UNREAD_ALLOWED
+             if name not in defined or not unread_public_names([name], read)]
+    assert stale == []

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from subhop.errors import EmptyField, ParseError, UnknownId
-from subhop.kg import KnowledgeGraph, Triple, dedup_key, normalize_field
+from subhop.kg import KnowledgeGraph, Triple, normalize_field
 
 from helpers import file_sha256, oracle_dedup_key
 
@@ -23,7 +23,7 @@ def test_identical_insert_is_idempotent():
 
 
 def test_case_and_whitespace_variants_dedup():
-    # dedup_key casefolds and collapses whitespace, computed by hand:
+    # the dedup key casefolds and collapses whitespace, computed by hand:
     # ("barack obama", "born in", "honolulu") both times
     g = KnowledgeGraph()
     g.insert("Barack Obama", "born in", "Honolulu", "doc:d1", 0)
@@ -271,10 +271,9 @@ def test_dedup_soundness_exhaustive_scan():
     for _ in range(300):
         g.insert(f"H{rng.randrange(20)}", f"r{rng.randrange(4)}", f"T{rng.randrange(20)}",
                  "doc:x", 0)
-    keys = [dedup_key(t.head, t.relation, t.tail) for t in g]
+    keys = [oracle_dedup_key(t.head, t.relation, t.tail) for t in g]
     assert len(keys) == len(set(keys))
 
 
 def test_normalize_field():
     assert normalize_field("  a\t b\n c ") == "a b c"
-    assert dedup_key("A  B", "R", "c") == ("a b", "r", "c")

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from subhop.config import Config
-from subhop.embedders import Embedding, FixtureEmbedder
+from subhop.embedders import Embedding
 from subhop.errors import DimensionMismatch, UnknownId
 from subhop.indexer import Corpus, split_for_extraction
 from subhop.kg import KnowledgeGraph
@@ -32,6 +32,7 @@ from helpers import (
     REGISTRY,
     TWO_HOP_QID,
     TWO_HOP_QUESTION,
+    FixtureEmbedder,
     append_row,
     basis_vector,
     build_two_hop_world,
@@ -432,6 +433,46 @@ def test_solve_two_hop_fixture(tmp_path):
     assert [t.id for _, t in trace.memory] == [0, 3]
     assert trace.llm_calls == 8
     assert trace.prompt_tokens > 0
+
+
+def _solve_two_hop(tmp_path, **config):
+    """The two-hop question solved under ``config``: its trace and the
+    LLM requests, in order."""
+    world = build_two_hop_world(tmp_path, **config)
+    gw = world.ask_gateway(two_hop_ask_rules())
+    trace = solve(TWO_HOP_QID, TWO_HOP_QUESTION, world.config, world.stores, gw,
+                  world.embedder)
+    return trace, gw.backend.log
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_k_triples_sets_the_triples_a_step_retrieves(tmp_path, k):
+    trace, _ = _solve_two_hop(tmp_path, k_triples=k)
+    assert [len(sub.retrieved) for sub in trace.sub_answers] == [k, k]
+    assert len(trace.sub_answers[1].retrieved_after_update) == k
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_k_docs_sets_the_passages_a_fallback_retrieves(tmp_path, k):
+    trace, _ = _solve_two_hop(tmp_path, k_docs=k)
+    assert [len(sub.fallback.retrieved_doc_ids) for sub in trace.sub_answers
+            if sub.fallback] == [k]
+
+
+def test_max_subquestions_caps_the_plan(tmp_path):
+    trace, requests = _solve_two_hop(tmp_path, max_subquestions=1)
+    assert requests[0]["template"] == "decompose"
+    assert "Use at most 1 sub-questions." in requests[0]["prompt"]
+    assert trace.plan.sub_questions == ["Who directed Inception?"]
+    assert trace.plan.warnings == ["decompose:truncated"]
+    assert trace.final_answer == "Emma Thomas"
+
+
+@pytest.mark.parametrize("rewriting", [True, False])
+def test_rewriting_off_makes_no_rewrite_call(tmp_path, rewriting):
+    trace, requests = _solve_two_hop(tmp_path, rewriting=rewriting)
+    assert [entry["template"] for entry in requests].count("rewrite") == int(rewriting)
+    assert trace.sub_answers[1].rewritten_question == "Who is the spouse of Christopher Nolan?"
 
 
 def test_solve_single_hop_from_graph(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 from subhop import vector
 from subhop.benchmark import QAExample, run_benchmark
-from subhop.embedders import FixtureEmbedder, HashedBagEmbedder
+from subhop.embedders import HashedBagEmbedder
 from subhop.errors import EmbedderMismatch, ParseError
 from subhop.indexer import Corpus, build_graph_index, ingest_corpus
 from subhop.kg import KnowledgeGraph
@@ -38,6 +38,7 @@ from helpers import (
     TWO_HOP_CORPUS,
     TWO_HOP_QID,
     TWO_HOP_QUESTION,
+    FixtureEmbedder,
     append_row,
     build_benchmark_fixture,
     build_benchmark_world,

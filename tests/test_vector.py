@@ -11,22 +11,24 @@ import pytest
 
 from subhop import vector
 from subhop.config import Config
-from subhop.embedders import Embedding, FixtureEmbedder, HashedBagEmbedder, Rows
+from subhop.embedders import Embedding, HashedBagEmbedder, Rows
 from subhop.errors import DimensionMismatch
 from subhop.gateway import Gateway
 from subhop.indexer import ingest_corpus
-from subhop.kg import KnowledgeGraph, Triple, dedup_key
+from subhop.kg import KnowledgeGraph, Triple
 from subhop.solver import QuestionTrace, SubAnswer, solve, trace_to_json
 from subhop.stores import load_stores, save_stores
 from subhop.vector import EXTEND_CHUNK, VectorIndex, verbalize_triple
 
 from helpers import (
     TWO_HOP_CORPUS,
+    FixtureEmbedder,
     append_row,
     dense,
     graph_stores,
     index_rows,
     oracle_cosine_top_k,
+    oracle_dedup_key,
     save_hash_snapshot,
     write_corpus,
 )
@@ -67,7 +69,7 @@ def test_verbalize_respects_dedup_equivalence_on_random_triples():
     seen: dict[str, tuple] = {}
     for t in g:
         verb = verbalize_triple(t).casefold()
-        key = dedup_key(t.head, t.relation, t.tail)
+        key = oracle_dedup_key(t.head, t.relation, t.tail)
         assert seen.setdefault(verb, key) == key
     assert len(seen) == len(g)
 
