@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .errors import EmptyDataset, ParseError, UnsupportedFormat
+from .errors import ParseError, SubhopError
 from .metrics import exact_match, token_f1
 from .records import read_json, read_json_lines
 from .solver import QuestionTrace, write_trace
@@ -137,7 +137,7 @@ def load_dataset(path: str | Path, format: str = "generic") -> list[QAExample]:
     benchmark adapters map each native layout onto the same shape.
     """
     if format not in _FORMATS:
-        raise UnsupportedFormat(f"unknown dataset format {format!r}")
+        raise SubhopError(f"unknown dataset format {format!r}")
     read, id_key, answers_key, aliases_key = _FORMATS[format]
     seen: set[str] = set()
     examples = []
@@ -166,7 +166,7 @@ def run_benchmark(
     persisted per example when a trace directory is given.
     """
     if not dataset:
-        raise EmptyDataset("dataset has no examples")
+        raise SubhopError("dataset has no examples")
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
 

@@ -71,7 +71,7 @@ def decompose(question: str, gateway: Gateway,
     warnings: list[str] = []
     text_refs = set(placeholder_refs(question))
     try:
-        raw = gateway.complete_structured(request, expect="array")
+        raw = gateway.complete_structured(request, expect=list)
         subs = [item.strip() for item in raw if isinstance(item, str) and item.strip()]
         if not subs:
             raise _PlanInvalid("empty plan")

@@ -23,7 +23,7 @@ from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError, SubhopError
 
 _TOKEN_RE = re.compile(r"\w+")
 
@@ -79,7 +79,7 @@ def embed_rows(embedder: Embedder, texts: Sequence[str]) -> Rows:
     """Every text's embedding, as ``Rows``: ``embedder.embed_many(texts)``
     when the embedder has that method, else ``embed`` of each text
     gathered into the same arrays. An ``embed`` result of another
-    dimension than the embedder's raises DimensionMismatch."""
+    dimension than the embedder's raises SubhopError."""
     embed_many = getattr(embedder, "embed_many", None)
     if embed_many is not None:
         return embed_many(texts)
@@ -90,7 +90,7 @@ def embed_rows(embedder: Embedder, texts: Sequence[str]) -> Rows:
     for text in texts:
         emb = embedder.embed(text)
         if emb.dimension != embedder.dimension:
-            raise DimensionMismatch(
+            raise SubhopError(
                 f"vector of dimension {emb.dimension} does not fit dimension {embedder.dimension}"
             )
         counts.append(len(emb.columns))

@@ -142,10 +142,10 @@ class Gateway:
     def complete_structured(
         self,
         request: ChatRequest,
-        expect: str = "object",
+        expect: type[dict] | type[list] = dict,
         required: Mapping[str, type] | None = None,
     ):
-        """Complete and parse the result as JSON of the expected shape.
+        """Complete and parse the result as JSON of type ``expect``: ``dict`` or ``list``.
 
         On a parse or shape failure, retries exactly once with an explicit
         "valid JSON only" suffix, then raises StructuredParseError carrying
@@ -155,9 +155,10 @@ class Gateway:
         parsed = _parse_shape(response.text, expect, required)
         if parsed is not None:
             return parsed
+        kind = "object" if expect is dict else "array"
         logger.warning(
             "unparseable %s output for template %s, retrying once",
-            expect, request.template_name,
+            kind, request.template_name,
         )
         retry = replace(request, suffix=request.suffix + JSON_RETRY_SUFFIX)
         response = self.complete(retry)
@@ -165,29 +166,23 @@ class Gateway:
         if parsed is not None:
             return parsed
         raise StructuredParseError(
-            f"template {request.template_name!r} did not yield a JSON {expect}",
+            f"template {request.template_name!r} did not yield a JSON {kind}",
             raw=response.text,
         )
 
 
-def _parse_shape(text: str, expect: str, required: Mapping[str, type] | None):
+def _parse_shape(text: str, expect: type[dict] | type[list], required: Mapping[str, type] | None):
     value = _extract_json(text, expect)
-    if value is None:
+    if not isinstance(value, expect):
         return None
-    if expect == "object":
-        if not isinstance(value, dict):
-            return None
-        if required:
-            for name, kind in required.items():
-                if name not in value or not isinstance(value[name], kind):
-                    return None
-        return value
-    if expect == "array":
-        return value if isinstance(value, list) else None
-    raise ValueError(f"unknown shape {expect!r}")
+    if required:
+        for name, kind in required.items():
+            if name not in value or not isinstance(value[name], kind):
+                return None
+    return value
 
 
-def _extract_json(text: str, expect: str):
+def _extract_json(text: str, expect: type[dict] | type[list]):
     candidate = text.strip()
     fenced = _FENCE_RE.match(candidate)
     if fenced:
@@ -196,7 +191,7 @@ def _extract_json(text: str, expect: str):
         return json.loads(candidate)
     except json.JSONDecodeError:
         pass
-    open_ch, close_ch = ("{", "}") if expect == "object" else ("[", "]")
+    open_ch, close_ch = ("{", "}") if expect is dict else ("[", "]")
     start = candidate.find(open_ch)
     end = candidate.rfind(close_ch)
     if start == -1 or end <= start:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .embedders import Embedder
-from .errors import CorpusMismatch, DuplicateDocId, ParseError, StructuredParseError
+from .errors import ParseError, StructuredParseError
 from .gateway import ChatRequest, Gateway
 from .kg import KnowledgeGraph, normalize_field
 from .records import read_json_lines
@@ -48,7 +48,7 @@ class Corpus:
         seen: set[str] = set()
         for doc in documents:
             if doc.id in seen:
-                raise DuplicateDocId(doc.id)
+                raise ParseError(f"duplicate document id {doc.id!r}")
             seen.add(doc.id)
         return cls(documents=documents, sha256=sha256)
 
@@ -67,12 +67,12 @@ def ingest_corpus(path: str | Path, sha256: str | None = None) -> Corpus:
     The file is read once, and the corpus records the sha256 of the bytes
     parsed, so a snapshot pins what was indexed even if the file changes
     later. ``sha256``, if given, is the digest a snapshot recorded: the
-    bytes must hash to it, else CorpusMismatch is raised before parsing.
+    bytes must hash to it, else ParseError is raised before parsing.
     """
     data = Path(path).read_bytes()
     digest = hashlib.sha256(data).hexdigest()
     if sha256 is not None and digest != sha256:
-        raise CorpusMismatch(f"corpus {path} changed since the snapshot was indexed")
+        raise ParseError(f"corpus {path} changed since the snapshot was indexed")
     documents: list[Document] = []
     for lineno, record in read_json_lines(path, data):
         doc_id = record.get("id")
@@ -152,7 +152,7 @@ def extract_triples(
     triples: list[TripleRow] = []
     for chunk in split_for_extraction(text, char_budget):
         raw = gateway.complete_structured(
-            ChatRequest("extract_triples", {"document": chunk}), expect="array"
+            ChatRequest("extract_triples", {"document": chunk}), expect=list
         )
         triples.extend(validate_triple_rows(raw))
     return triples

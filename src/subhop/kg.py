@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .errors import EmptyField, ParseError, UnknownId
+from .errors import ParseError, SubhopError
 from .records import read_json_lines
 
 DYNAMIC_PREFIX = "dynamic:"
@@ -27,13 +27,13 @@ def normalize_field(value: str) -> str:
 
 
 def _normalize(head: str, relation: str, tail: str) -> tuple[tuple[str, str, str], DedupKey]:
-    """Normalized fields and dedup key; EmptyField if a field trims to nothing."""
+    """Normalized fields and dedup key; SubhopError if a field trims to nothing."""
     # normalize_field, written out: an index build runs this once per extracted row
     h = " ".join(head.split())
     r = " ".join(relation.split())
     t = " ".join(tail.split())
     if not h or not r or not t:
-        raise EmptyField(f"empty field in triple ({head!r}, {relation!r}, {tail!r})")
+        raise SubhopError(f"empty field in triple ({head!r}, {relation!r}, {tail!r})")
     return (h, r, t), (h.casefold(), r.casefold(), t.casefold())
 
 
@@ -111,8 +111,9 @@ class KnowledgeGraph:
         """Insert a triple, deduplicating on the normalized key.
 
         Returns ``(id, True)`` for a new triple or ``(existing_id, False)``
-        when an equivalent triple is already stored. Raises EmptyField if
-        any field trims to nothing; callers skip the triple and log it.
+        when an equivalent triple is already stored. Raises SubhopError if
+        any field trims to nothing, as no row ``validate_triple_rows``
+        keeps does.
         """
         fields, key = _normalize(head, relation, tail)
         keys = self._keys()
@@ -126,16 +127,16 @@ class KnowledgeGraph:
 
     def new_fields(self, head: str, relation: str, tail: str) -> tuple[str, str, str] | None:
         """The normalized fields ``insert`` would store, or None when an
-        equivalent triple is already stored. Raises EmptyField as
+        equivalent triple is already stored. Raises SubhopError as
         ``insert`` does."""
         fields, key = _normalize(head, relation, tail)
         return None if key in self._keys() else fields
 
     def lookup(self, triple_id: int) -> Triple:
-        """The triple with this id; UnknownId unless 0 <= id < len(self)."""
+        """The triple with this id; SubhopError unless 0 <= id < len(self)."""
         if 0 <= triple_id < len(self._triples):
             return self._triples[triple_id]
-        raise UnknownId(triple_id)
+        raise SubhopError(f"unknown triple id {triple_id}")
 
     def stats(self) -> GraphStats:
         # an entity is a head or tail under the dedup key's casefolding;

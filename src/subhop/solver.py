@@ -24,7 +24,7 @@ from pathlib import Path
 from .config import Config
 from .decompose import DecompositionPlan, decompose, placeholder_refs, rewrite, single_question_plan
 from .embedders import Embedder
-from .errors import LLM_FAILURES, BudgetExceeded, EmptyField
+from .errors import LLM_FAILURES, BudgetExceeded
 from .gateway import ChatRequest, Gateway
 from .indexer import DEFAULT_CHAR_BUDGET, TripleRow, extract_triples, passage_text
 from .kg import DYNAMIC_PREFIX, KnowledgeGraph, Triple
@@ -118,7 +118,7 @@ def answer_from_triples(
     try:
         payload = gateway.complete_structured(
             request,
-            expect="object",
+            expect=dict,
             required={"answerable": bool, "answer": str, "used_triple_ids": list},
         )
     except LLM_FAILURES:
@@ -169,7 +169,7 @@ def fallback_answer_from_docs(
     try:
         payload = gateway.complete_structured(
             ChatRequest("answer_from_docs", {"question": question, "documents": doc_block}),
-            expect="object",
+            expect=dict,
             required={"answer": str},
         )
         event.document_answer = payload["answer"].strip() or UNKNOWN_ANSWER
@@ -210,11 +210,7 @@ def update_graph_with_new_triples(
                 f"graph holds {len(graph)} triples but its index {len(triple_index)} rows"
             )
         for row in event.new_triples:
-            try:
-                fields = graph.new_fields(*row)
-            except EmptyField:
-                logger.warning("skipping empty-field write-back triple")
-                continue
+            fields = graph.new_fields(*row)
             if fields is None:
                 continue
             triple_index.extend([verbalize(*fields)], embedder)

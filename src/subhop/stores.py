@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .embedders import Embedder
-from .errors import EmbedderMismatch, ParseError
+from .errors import ParseError, SubhopError
 from .indexer import Corpus, embed_triples, ingest_corpus, passage_text
 from .kg import KnowledgeGraph
 from .records import read_json
@@ -169,7 +169,7 @@ def load_stores(
     root = Path(snapshot_dir)
     manifest = load_manifest(root)
     if manifest.get("embedder") != embedder.name or manifest.get("dimension") != embedder.dimension:
-        raise EmbedderMismatch(
+        raise SubhopError(
             f"snapshot built with {manifest.get('embedder')}/{manifest.get('dimension')}, "
             f"configured {embedder.name}/{embedder.dimension}"
         )

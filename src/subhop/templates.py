@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .errors import MissingTemplate, TemplateError
+from .errors import SubhopError
 
 TEMPLATE_NAMES = (
     "extract_triples",
@@ -44,20 +44,20 @@ class TemplateRegistry:
         for name in TEMPLATE_NAMES:
             candidate = root / f"{name}.txt"
             if not candidate.is_file():
-                raise MissingTemplate(name)
+                raise SubhopError(f"missing template {name!r}")
             try:
                 templates[name] = candidate.read_text(encoding="utf-8")
             except UnicodeDecodeError:
-                raise TemplateError(f"template file {candidate} is not UTF-8 text") from None
+                raise SubhopError(f"template file {candidate} is not UTF-8 text") from None
         return cls(templates)
 
     def render(self, name: str, variables: Mapping[str, object]) -> str:
         needed = self._placeholders.get(name)
         if needed is None:
-            raise TemplateError(f"unknown template {name!r}")
+            raise SubhopError(f"unknown template {name!r}")
         missing = sorted(needed - set(variables))
         if missing:
-            raise TemplateError(f"template {name!r} missing bindings for {missing}")
+            raise SubhopError(f"template {name!r} missing bindings for {missing}")
 
         # every token the regex finds is in ``needed``, found by the same regex
         return _PLACEHOLDER_RE.sub(

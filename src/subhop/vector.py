@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .embedders import Embedder, Embedding, Rows, embed_rows
-from .errors import DimensionMismatch
+from .errors import SubhopError
 from .kg import Triple
 
 
@@ -143,7 +143,7 @@ class VectorIndex:
 
     def _check_embedder(self, embedder: Embedder) -> None:
         if embedder.dimension != self._dimension:
-            raise DimensionMismatch(
+            raise SubhopError(
                 f"embedder dimension {embedder.dimension} != index dimension {self._dimension}"
             )
 
@@ -154,7 +154,7 @@ class VectorIndex:
         so the embedder's working memory does not grow with their number.
         Every chunk is embedded, and checked to fit the dimension, before
         anything is written: an embedder that raises, or a vector that
-        does not fit (DimensionMismatch), leaves the index unchanged. Each
+        does not fit (SubhopError), leaves the index unchanged. Each
         chunk's (column, weight) entries are stably sorted by column, which
         keeps each column's rows ascending, and each posting grows once per
         chunk.
@@ -180,14 +180,14 @@ class VectorIndex:
     def _entries(self, rows: Rows, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The (row, weight) entries of ``n`` embedded rows numbered from
         ``first``, shape (2, m), sorted by column, and how many fall in each
-        column. Raises DimensionMismatch if a column lies outside the
+        column. Raises SubhopError if a column lies outside the
         dimension, and ValueError if the arrays disagree on their sizes."""
         counts, columns, weights, norms = rows
         if not len(counts) == len(norms) == n or not counts.sum() == len(columns) == len(weights):
             raise ValueError(f"embedded rows do not describe {n} rows")
         per_column = np.bincount(columns, minlength=self._dimension)
         if len(per_column) > self._dimension:
-            raise DimensionMismatch(
+            raise SubhopError(
                 f"column {len(per_column) - 1} is outside dimension {self._dimension}"
             )
         order = np.argsort(columns, kind="stable")

@@ -217,7 +217,10 @@ class MockChatServer:
                 pass
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # a short poll interval, so that ``shutdown`` does not wait up to 0.5 s
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
 
     @property
     def endpoint(self) -> str:

@@ -10,7 +10,7 @@ from subhop.benchmark import (
     run_benchmark,
     write_report_files,
 )
-from subhop.errors import EmptyDataset, ParseError, UnsupportedFormat
+from subhop.errors import ParseError, SubhopError
 from subhop.solver import QuestionTrace
 
 
@@ -53,7 +53,7 @@ def test_load_musique_aliases(tmp_path):
 
 def test_load_unknown_format(tmp_path):
     path = _write(tmp_path / "d.jsonl", "")
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(SubhopError, match="unknown dataset format 'nonsense'"):
         load_dataset(path, "nonsense")
 
 
@@ -104,7 +104,7 @@ def test_run_benchmark_three_hits_one_total_miss():
 
 
 def test_run_benchmark_empty_dataset():
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(SubhopError, match="dataset has no examples"):
         run_benchmark([], lambda e: _trace("x"))
 
 

@@ -514,15 +514,21 @@ def test_no_flags_turn_their_config_fields_off():
     assert (config.decomposition, config.rewriting, config.graph_update) == (True,) * 3
 
 
-def test_ablation_flags_map_to_config(env):
+def test_ablation_flags_map_to_config(env, capsys, monkeypatch):
     do_index(env)
-    # flags are accepted and do not break a normal ask
+    capsys.readouterr()
+    wire_log = env["tmp"] / "wire.jsonl"
+    monkeypatch.setenv("SUBHOP_WIRE_LOG", str(wire_log))
     code = run(base_args(env, "ask_script") + [
         "--no-decomposition", "--no-rewriting", "--no-update",
-        "ask", "ignored question"])
-    # with decomposition disabled the single-element plan needs its own
-    # script; exhaustion is a runtime error, not a crash
-    assert code in (0, 4)
+        "ask", TWO_HOP_QUESTION, "--trace"])
+    assert code == 0
+    # the flags reach ``solve``: no plan is asked for, and the one step's
+    # fallback writes nothing back
+    assert "decompose" not in [e["template"] for e in _wire_log_entries(wire_log)]
+    trace_path = Path(capsys.readouterr().out.splitlines()[-1].removeprefix("trace: "))
+    steps = json.loads(trace_path.read_text(encoding="utf-8"))["sub_answers"]
+    assert len(steps) == 1 and "update:disabled" in steps[0]["events"]
 
 
 @pytest.mark.parametrize("values", [

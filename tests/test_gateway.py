@@ -9,11 +9,10 @@ from subhop.config import Config
 from subhop.errors import (
     BackendError,
     BudgetExceeded,
-    MissingTemplate,
     ParseError,
     StructuredParseError,
     StubExhausted,
-    TemplateError,
+    SubhopError,
 )
 from subhop.gateway import ChatRequest, Gateway
 from subhop.remote import RemoteBackend
@@ -36,7 +35,7 @@ def test_stub_echo():
 
 def test_unbound_placeholder_raises_before_any_backend_call():
     gw = stub_gateway([])
-    with pytest.raises(TemplateError):
+    with pytest.raises(SubhopError, match=r"template 'decompose' missing bindings for \['question'\]"):
         gw.complete(ChatRequest("decompose", {"max_subquestions": 6}))
     # an actual call would have raised StubExhausted instead
     assert gw.backend.log == []
@@ -44,7 +43,7 @@ def test_unbound_placeholder_raises_before_any_backend_call():
 
 def test_unknown_template_name():
     gw = stub_gateway([])
-    with pytest.raises(TemplateError):
+    with pytest.raises(SubhopError, match="unknown template 'nonsense'"):
         gw.complete(ChatRequest("nonsense", {}))
 
 
@@ -99,7 +98,7 @@ def test_complete_structured_object():
     gw = stub_gateway([rule("answer_from_triples", payload)])
     parsed = gw.complete_structured(
         ChatRequest("answer_from_triples", {"question": "q", "triples": "t"}),
-        expect="object",
+        expect=dict,
         required={"answerable": bool, "answer": str, "used_triple_ids": list},
     )
     assert parsed == payload
@@ -114,7 +113,7 @@ def test_complete_structured_retries_once_then_succeeds():
     )
     parsed = gw.complete_structured(
         ChatRequest("answer_from_docs", {"question": "q", "documents": "d"}),
-        expect="object",
+        expect=dict,
         required={"answer": str},
     )
     assert parsed == {"answer": "Emma Thomas"}
@@ -129,10 +128,11 @@ def test_complete_structured_fails_after_second_prose():
     with pytest.raises(StructuredParseError) as exc:
         gw.complete_structured(
             ChatRequest("answer_from_docs", {"question": "q", "documents": "d"}),
-            expect="object",
+            expect=dict,
             required={"answer": str},
         )
     assert exc.value.raw == "prose two"
+    assert str(exc.value) == "template 'answer_from_docs' did not yield a JSON object"
 
 
 def test_complete_structured_array_and_fences():
@@ -140,7 +140,7 @@ def test_complete_structured_array_and_fences():
         [rule("extract_triples", "```json\n[[\"A\",\"r\",\"B\"]]\n```")]
     )
     parsed = gw.complete_structured(
-        ChatRequest("extract_triples", {"document": "d"}), expect="array"
+        ChatRequest("extract_triples", {"document": "d"}), expect=list
     )
     assert parsed == [["A", "r", "B"]]
 
@@ -151,7 +151,7 @@ def test_structured_object_extraction_from_surrounding_prose():
     )
     parsed = gw.complete_structured(
         ChatRequest("answer_from_docs", {"question": "q", "documents": "d"}),
-        expect="object",
+        expect=dict,
         required={"answer": str},
     )
     assert parsed == {"answer": "Paris"}
@@ -192,9 +192,8 @@ def test_missing_template_detected_at_load(tmp_path):
     for name in TEMPLATE_NAMES:
         if name != "rewrite":
             (tmp_path / f"{name}.txt").write_text("body {question}", encoding="utf-8")
-    with pytest.raises(MissingTemplate) as exc:
+    with pytest.raises(SubhopError, match="missing template 'rewrite'"):
         TemplateRegistry.load(tmp_path)
-    assert exc.value.name == "rewrite"
 
 
 def test_render_substitutes_placeholder(tmp_path):

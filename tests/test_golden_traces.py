@@ -43,6 +43,12 @@ GOLDEN = {
         "14e06bdf781f975b263059ebe272f6773ac9af64a23d5f2ba47c0d9ce257bdc9",
     "two_hop/graph":
         "456b341c4408e54ee7e5d42971d15d17459ea0df0553e3b2085e4c52bb7c8a04",
+    "two_hop_no_rewriting/trace":
+        "ff5afcb931ba963119f1587a6c5379353c86f7c956bc33a92be6975ad8f2cf60",
+    "two_hop_no_rewriting/prompts":
+        "6e19cf5847bf866175ca71ba42b1dfc667f6f5e18778fa7a8c9ccaa60609ee50",
+    "two_hop_no_rewriting/graph":
+        "456b341c4408e54ee7e5d42971d15d17459ea0df0553e3b2085e4c52bb7c8a04",
     "full/traces":
         "b2ca097cba5f421ea741db73a6a3d2039ffe28805186dc94bf24edb0397abe56",
     "full/report":
@@ -92,16 +98,23 @@ def _graph_bytes(graph, directory) -> bytes:
     return path.read_bytes()
 
 
-def two_hop_outputs(tmp_path) -> dict[str, str]:
-    world = build_two_hop_world(tmp_path)
+def two_hop_outputs(tmp_path, name: str = "two_hop", **config_overrides) -> dict[str, str]:
+    world = build_two_hop_world(tmp_path, **config_overrides)
     gateway = world.ask_gateway(two_hop_ask_rules())
     trace = solve(TWO_HOP_QID, TWO_HOP_QUESTION, world.config, world.stores,
                   gateway, world.embedder)
     return {
-        "two_hop/trace": _sha(trace_to_json(trace).encode("utf-8")),
-        "two_hop/prompts": _sha(_prompts(gateway)),
-        "two_hop/graph": _sha(_graph_bytes(world.stores.graph, tmp_path)),
+        f"{name}/trace": _sha(trace_to_json(trace).encode("utf-8")),
+        f"{name}/prompts": _sha(_prompts(gateway)),
+        f"{name}/graph": _sha(_graph_bytes(world.stores.graph, tmp_path)),
     }
+
+
+def two_hop_no_rewriting_outputs(tmp_path) -> dict[str, str]:
+    """The two-hop question with literal substitution: "#1" becomes the
+    scripted "Christopher Nolan", so the same rules match, and the
+    prompts lose only the one ``rewrite`` call."""
+    return two_hop_outputs(tmp_path, "two_hop_no_rewriting", rewriting=False)
 
 
 def benchmark_outputs(tmp_path, arm: str) -> dict[str, str]:
@@ -132,6 +145,7 @@ def benchmark_outputs(tmp_path, arm: str) -> dict[str, str]:
 def golden_digests(tmp_path) -> dict[str, str]:
     """Every recorded digest, computed afresh under ``tmp_path``."""
     digests = two_hop_outputs(tmp_path / "two_hop")
+    digests.update(two_hop_no_rewriting_outputs(tmp_path / "two_hop_no_rewriting"))
     for arm in ARMS:
         digests.update(benchmark_outputs(tmp_path / arm, arm))
     return digests
@@ -139,6 +153,11 @@ def golden_digests(tmp_path) -> dict[str, str]:
 
 def test_two_hop_outputs_match_golden(tmp_path):
     got = two_hop_outputs(tmp_path)
+    assert got == {key: GOLDEN[key] for key in got}
+
+
+def test_two_hop_without_rewriting_outputs_match_golden(tmp_path):
+    got = two_hop_no_rewriting_outputs(tmp_path)
     assert got == {key: GOLDEN[key] for key in got}
 
 

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-every private name it defines at module level is read there, and every
-public name it defines is read by the package or the benchmark."""
+every private name it defines at module level is read there, every
+public name it defines is read by the package or the benchmark, and
+every exception class it defines is caught by some handler."""
 
 import ast
 from pathlib import Path
@@ -177,3 +178,53 @@ def test_every_allowed_unread_name_is_defined_and_unread():
     stale = [name for name in UNREAD_ALLOWED
              if name not in defined or not unread_public_names([name], read)]
     assert stale == []
+
+
+def uncaught_classes(errors_source: str, sources: list[str]) -> list[str]:
+    """The classes ``errors_source`` defines that no ``except`` clause in
+    ``sources`` names, either directly or through a module-level tuple of
+    ``errors_source`` (``except LLM_FAILURES``, ``except (*LLM_FAILURES,)``)."""
+    tree = ast.parse(errors_source)
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    tuples = {
+        target.id: {elt.id for elt in node.value.elts if isinstance(elt, ast.Name)}
+        for node in tree.body if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    caught: set[str] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ExceptHandler) or node.type is None:
+                continue
+            kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for kind in kinds:
+                if isinstance(kind, ast.Starred):
+                    kind = kind.value
+                name = kind.attr if isinstance(kind, ast.Attribute) else getattr(kind, "id", None)
+                caught |= {name} | tuples.get(name, set())
+    return [name for name in classes if name not in caught]
+
+
+def test_the_check_finds_an_uncaught_exception_class():
+    errors_source = (
+        "class Base(Exception):\n    pass\n"
+        "class Caught(Base):\n    pass\n"
+        "class InTuple(Base):\n    pass\n"
+        "class Starred(Base):\n    pass\n"
+        "class Raised(Base):\n    pass\n"
+        "GROUP = (InTuple,)\nSTARRED = (Starred,)\n"
+    )
+    sources = [
+        "try:\n    f()\nexcept errors.Base:\n    pass\n"
+        "try:\n    f()\nexcept (Caught, KeyError):\n    pass\n"
+        "try:\n    f()\nexcept GROUP:\n    pass\n"
+        "try:\n    f()\nexcept (ValueError, *STARRED):\n    pass\n"
+        "try:\n    f()\nexcept:\n    raise Raised()\n"
+    ]
+    assert uncaught_classes(errors_source, sources) == ["Raised"]
+
+
+def test_every_exception_class_is_caught_by_the_package():
+    errors = Path(subhop.__file__).parent / "errors.py"
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert uncaught_classes(errors.read_text(encoding="utf-8"), sources) == []

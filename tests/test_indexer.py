@@ -3,7 +3,7 @@ import json
 import pytest
 
 from subhop.embedders import HashedBagEmbedder
-from subhop.errors import CorpusMismatch, DuplicateDocId, ParseError
+from subhop.errors import ParseError
 from subhop.indexer import (
     Corpus,
     Document,
@@ -48,7 +48,7 @@ def test_ingest_duplicate_id(tmp_path):
         {"id": "d1", "title": "", "text": "x"},
         {"id": "d1", "title": "", "text": "y"},
     ])
-    with pytest.raises(DuplicateDocId):
+    with pytest.raises(ParseError, match="duplicate document id 'd1'"):
         ingest_corpus(path)
 
 
@@ -223,7 +223,7 @@ def test_snapshot_pins_the_corpus_bytes_that_were_parsed(tmp_path):
     edited = [dict(TWO_HOP_CORPUS[0], text="Rewritten after it was parsed.")]
     write_corpus(world.corpus_path, edited + TWO_HOP_CORPUS[1:])
     save_stores(world.stores, tmp_path / "snap", world.embedder, world.corpus_path)
-    with pytest.raises(CorpusMismatch):
+    with pytest.raises(ParseError, match="changed since the snapshot was indexed"):
         load_stores(tmp_path / "snap", world.embedder)
 
 
@@ -239,5 +239,5 @@ def test_load_stores_rejects_changed_corpus(tmp_path):
     world = build_two_hop_world(tmp_path)
     save_stores(world.stores, tmp_path / "snap", world.embedder, world.corpus_path)
     write_corpus(world.corpus_path, TWO_HOP_CORPUS[:1])
-    with pytest.raises(CorpusMismatch):
+    with pytest.raises(ParseError, match="changed since the snapshot was indexed"):
         load_stores(tmp_path / "snap", world.embedder)

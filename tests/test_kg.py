@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from subhop.errors import EmptyField, ParseError, UnknownId
+from subhop.errors import ParseError, SubhopError
 from subhop.kg import KnowledgeGraph, Triple, normalize_field
 
 from helpers import file_sha256, oracle_dedup_key
@@ -33,7 +33,7 @@ def test_case_and_whitespace_variants_dedup():
 
 def test_empty_field_rejected():
     g = KnowledgeGraph()
-    with pytest.raises(EmptyField):
+    with pytest.raises(SubhopError, match="empty field in triple \\('A', '  ', 'B'\\)"):
         g.insert("A", "  ", "B", "doc:d1", 0)
     assert len(g) == 0
 
@@ -49,12 +49,12 @@ def test_lookup_and_insertion_order():
 
 def test_lookup_unknown_id():
     g = KnowledgeGraph()
-    with pytest.raises(UnknownId):
+    with pytest.raises(SubhopError, match="unknown triple id 0"):
         g.lookup(0)
     g.insert("A", "r", "B", "doc:d1", 0)
     g.insert("C", "r", "D", "doc:d1", 0)
     for triple_id in (-1, -2, 2):  # a negative id is no index from the end
-        with pytest.raises(UnknownId):
+        with pytest.raises(SubhopError, match=f"unknown triple id {triple_id}$"):
             g.lookup(triple_id)
 
 

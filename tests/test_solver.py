@@ -6,7 +6,7 @@ import pytest
 
 from subhop.config import Config
 from subhop.embedders import Embedding
-from subhop.errors import DimensionMismatch, UnknownId
+from subhop.errors import SubhopError
 from subhop.indexer import Corpus, split_for_extraction
 from subhop.kg import KnowledgeGraph
 from subhop.solver import (
@@ -263,10 +263,11 @@ def test_update_graph_with_new_triples_dedup(tmp_path):
     assert list(index.entries()) == [(t.id, verbalize_triple(t)) for t in graph]
 
 
-@pytest.mark.parametrize(
-    "failure, error", [("raises", RuntimeError), ("wrong_dimension", DimensionMismatch)]
-)
-def test_failed_write_back_embed_keeps_graph_and_index_in_sync(tmp_path, failure, error):
+@pytest.mark.parametrize("failure, error, match", [
+    ("raises", RuntimeError, "embedder down"),
+    ("wrong_dimension", SubhopError, "vector of dimension 2 does not fit dimension 8"),
+], ids=["raises-RuntimeError", "wrong_dimension-DimensionMismatch"])
+def test_failed_write_back_embed_keeps_graph_and_index_in_sync(tmp_path, failure, error, match):
     world = build_two_hop_world(tmp_path)
     graph, index = world.stores.graph, world.stores.triple_index
     before = len(graph)
@@ -288,7 +289,7 @@ def test_failed_write_back_embed_keeps_graph_and_index_in_sync(tmp_path, failure
         ("Emma Thomas", "studied at", "UCL"),
         ("Emma Thomas", "spouse", "Christopher Nolan"),
     ])
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         update_graph_with_new_triples(world.stores, event, "q9", 2, FailsOnSecondTriple())
     assert len(graph) == len(index) == before + 1
     assert event.written_back_ids == [before]
@@ -352,7 +353,7 @@ def test_assemble_graph_memory_empty():
 
 
 def test_assemble_graph_memory_unknown_id():
-    with pytest.raises(UnknownId):
+    with pytest.raises(SubhopError, match="unknown triple id 0"):
         assemble_graph_memory([_sub(1, [0])], KnowledgeGraph())
 
 

@@ -11,7 +11,7 @@ import pytest
 from subhop import vector
 from subhop.benchmark import QAExample, run_benchmark
 from subhop.embedders import HashedBagEmbedder
-from subhop.errors import EmbedderMismatch, ParseError
+from subhop.errors import ParseError, SubhopError
 from subhop.indexer import Corpus, build_graph_index, ingest_corpus
 from subhop.kg import KnowledgeGraph
 from subhop.solver import (
@@ -304,7 +304,7 @@ def test_load_stores_rejects_other_embedder(tmp_path, other):
     world = build_two_hop_world(tmp_path)
     snap = tmp_path / "snap"
     save_stores(world.stores, snap, world.embedder, world.corpus_path)
-    with pytest.raises(EmbedderMismatch, match="snapshot built with fixture/8"):
+    with pytest.raises(SubhopError, match="snapshot built with fixture/8"):
         load_stores(snap, other)
 
 

@@ -12,7 +12,7 @@ import pytest
 from subhop import vector
 from subhop.config import Config
 from subhop.embedders import Embedding, HashedBagEmbedder, Rows
-from subhop.errors import DimensionMismatch
+from subhop.errors import SubhopError
 from subhop.gateway import Gateway
 from subhop.indexer import ingest_corpus
 from subhop.kg import KnowledgeGraph, Triple
@@ -117,30 +117,33 @@ _FITS = Embedding.of([0.0, 1.0])
 _OUTSIDE = Embedding((0, 2), (1.0, 1.0), math.sqrt(2.0), 2)
 
 
-# (id, embedder, error) for extends that fail at the text "x"
+# (id, embedder, error, message) for extends that fail at the text "x"
 _FAILING_EXTENDS = [
     ("embedder-dimension", FixtureEmbedder({"ok": [0.0, 1.0, 0.0], "x": [1.0, 2.0, 3.0]}),
-     DimensionMismatch),
+     SubhopError, "embedder dimension 3 != index dimension 2"),
     ("vector-dimension", _Given({"ok": _FITS, "x": Embedding.of([1.0, 0.0, 0.0])}),
-     DimensionMismatch),
-    ("column-outside", _Given({"ok": _FITS, "x": _OUTSIDE}), DimensionMismatch),
-    ("embedder-raises", _Given({"ok": _FITS}), KeyError),
-    ("batch-column-outside", _GivenMany({"ok": _FITS, "x": _OUTSIDE}), DimensionMismatch),
-    ("batch-raises", _GivenMany({"ok": _FITS}), KeyError),
-    ("batch-rows-disagree", _OneNormShort({"ok": _FITS, "x": _FITS}), ValueError),
+     SubhopError, "vector of dimension 3 does not fit dimension 2"),
+    ("column-outside", _Given({"ok": _FITS, "x": _OUTSIDE}),
+     SubhopError, "column 2 is outside dimension 2"),
+    ("embedder-raises", _Given({"ok": _FITS}), KeyError, None),
+    ("batch-column-outside", _GivenMany({"ok": _FITS, "x": _OUTSIDE}),
+     SubhopError, "column 2 is outside dimension 2"),
+    ("batch-raises", _GivenMany({"ok": _FITS}), KeyError, None),
+    ("batch-rows-disagree", _OneNormShort({"ok": _FITS, "x": _FITS}), ValueError, None),
 ]
 
 
-@pytest.mark.parametrize("embedder, error, later_chunk", [
-    pytest.param(embedder, error, later_chunk, id=name + ("-later-chunk" if later_chunk else ""))
-    for later_chunk in (False, True) for name, embedder, error in _FAILING_EXTENDS
+@pytest.mark.parametrize("embedder, error, match, later_chunk", [
+    pytest.param(embedder, error, match, later_chunk,
+                 id=name + ("-later-chunk" if later_chunk else ""))
+    for later_chunk in (False, True) for name, embedder, error, match in _FAILING_EXTENDS
 ])
-def test_extend_that_fails_leaves_the_index_unchanged(embedder, error, later_chunk):
+def test_extend_that_fails_leaves_the_index_unchanged(embedder, error, match, later_chunk):
     # "x" does not fit or cannot be embedded; every "ok" before it fits,
     # and with ``later_chunk`` fills the whole first chunk
     index, _ = make_index({0: [1.0, 0.0]})
     before = index_rows(index)
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         index.extend(["ok"] * (EXTEND_CHUNK if later_chunk else 1) + ["x"], embedder)
     assert index_rows(index) == before
     index.extend(["ok"], _Given({"ok": _FITS}))
