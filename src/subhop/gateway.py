@@ -59,21 +59,25 @@ class ChatRequest:
 
 @dataclass
 class Budget:
-    """Per-question gateway call accounting."""
+    """Per-question gateway call accounting; thread-safe, since a
+    fallback can send its two calls at once."""
 
     limit: int
     calls: int = 0
     prompt_tokens: int = 0
     completion_tokens: int = 0
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def spend(self) -> None:
-        if self.calls + 1 > self.limit:
-            raise BudgetExceeded(self.limit)
-        self.calls += 1
+        with self._lock:
+            if self.calls + 1 > self.limit:
+                raise BudgetExceeded(self.limit)
+            self.calls += 1
 
     def record(self, result: BackendResult) -> None:
-        self.prompt_tokens += result.prompt_tokens
-        self.completion_tokens += result.completion_tokens
+        with self._lock:
+            self.prompt_tokens += result.prompt_tokens
+            self.completion_tokens += result.completion_tokens
 
 
 @dataclass

@@ -3,9 +3,11 @@
 Each sub-question runs in up to three stages:
 
 - read: rewrite, retrieve top-k triples, try to answer from them alone;
-- fallback, if the graph is insufficient: passage retrieval, an answer
-  from the documents and extraction of their facts; it reads only the
-  corpus and the passage index, which the first fallback embeds;
+- fallback, if the graph is insufficient: passage retrieval, then an
+  answer from the documents and extraction of their facts, sent together
+  when the budget left covers both and one after the other otherwise,
+  with the same trace either way; it reads only the corpus and the
+  passage index, which the first fallback embeds;
 - commit: write the new facts back into the graph and, if any landed,
   retry answering from the refreshed graph exactly once. It is the only
   stage that writes the graph and the triple index.
@@ -18,7 +20,9 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 from .config import Config
@@ -26,7 +30,8 @@ from .decompose import DecompositionPlan, decompose, placeholder_refs, rewrite, 
 from .embedders import Embedder
 from .errors import LLM_FAILURES, BudgetExceeded
 from .gateway import ChatRequest, Gateway
-from .indexer import DEFAULT_CHAR_BUDGET, TripleRow, extract_triples, passage_text
+from .indexer import (DEFAULT_CHAR_BUDGET, TripleRow, extract_triples, passage_text,
+                      split_for_extraction)
 from .kg import DYNAMIC_PREFIX, KnowledgeGraph, Triple
 from .stores import Stores
 from .vector import verbalize
@@ -156,7 +161,12 @@ def fallback_answer_from_docs(
     reads only ``stores.corpus`` and the passage index. Its first use
     writes the passage index, embedding the corpus once
     (``Stores.passages``); nothing writes it after that. LLM failures
-    degrade to the UNKNOWN answer; the event is recorded either way."""
+    degrade to the UNKNOWN answer; the event is recorded either way.
+
+    When the budget left covers both calls' worst cases (a retry per
+    structured call, one call per extraction chunk), the extraction runs on
+    a helper thread during the answer; else after it, so the budget runs
+    out where it does serially. Outcomes, errors too, apply answer first."""
     event = FallbackEvent(document_answer=UNKNOWN_ANSWER)
     if len(stores.corpus) == 0:
         logger.warning("fallback requested with empty corpus")
@@ -166,22 +176,37 @@ def fallback_answer_from_docs(
     docs = [stores.corpus.documents[key] for key, _ in hits]
     event.retrieved_doc_ids = [doc.id for doc in docs]
     doc_block = "\n\n".join(f"[{doc.id}] {passage_text(doc)}" for doc in docs)
-    try:
-        payload = gateway.complete_structured(
-            ChatRequest("answer_from_docs", {"question": question, "documents": doc_block}),
-            expect=dict,
-            required={"answer": str},
-        )
-        event.document_answer = payload["answer"].strip() or UNKNOWN_ANSWER
-    except LLM_FAILURES:
+    request = ChatRequest("answer_from_docs", {"question": question, "documents": doc_block})
+    answer = partial(_unless_llm_fails, gateway.complete_structured, request, dict, {"answer": str})
+    extract = partial(_unless_llm_fails, extract_triples, doc_block, gateway, char_budget)
+    budget = gateway.budget
+    worst_case = 2 * (1 + len(split_for_extraction(doc_block, char_budget)))
+    if budget is not None and budget.limit - budget.calls < worst_case:
+        payload, rows = answer(), extract()
+    else:
+        with ThreadPoolExecutor(max_workers=1) as helper:  # joined on exit
+            extraction = helper.submit(extract)
+            payload = answer()
+        rows = extraction.result()
+    if payload is None:
         logger.warning("document answering failed during fallback")
         events.append("fallback:answer_failure")
-    try:
-        event.new_triples = extract_triples(doc_block, gateway, char_budget)
-    except LLM_FAILURES:
+    else:
+        event.document_answer = payload["answer"].strip() or UNKNOWN_ANSWER
+    if rows is None:
         logger.warning("triple extraction failed during fallback")
         events.append("fallback:extract_failure")
+    else:
+        event.new_triples = rows
     return event
+
+
+def _unless_llm_fails(call, *args):
+    """``call(*args)``, or None when an LLM call in it fails."""
+    try:
+        return call(*args)
+    except LLM_FAILURES:
+        return None
 
 
 def update_graph_with_new_triples(
@@ -374,8 +399,8 @@ def trace_to_dict(trace: QuestionTrace) -> dict:
         "question": trace.question,
         "status": trace.status,
         "error": trace.error,
-        "plan": None if trace.plan is None else asdict(trace.plan),
-        "sub_answers": [asdict(sub) for sub in trace.sub_answers],
+        "plan": _plain(trace.plan),
+        "sub_answers": _plain(trace.sub_answers),
         "memory": [
             {
                 "step": step,
@@ -394,6 +419,17 @@ def trace_to_dict(trace: QuestionTrace) -> dict:
             "completion_tokens": trace.completion_tokens,
         },
     }
+
+
+def _plain(value):
+    """``dataclasses.asdict`` without its deep copy: a scalar is kept, a
+    list or tuple becomes a list and a dataclass a dict in field
+    declaration order. A trace holds nothing else."""
+    if type(value) in (str, int, float, bool, type(None)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
 
 
 def trace_to_json(trace: QuestionTrace) -> str:

@@ -30,16 +30,20 @@ REGISTRY = TemplateRegistry.load()
 
 
 class RecordingStub(StubBackend):
-    """A stub backend that keeps each request it answers, in order, as
-    ``{"template": ..., "prompt": ...}``."""
+    """A stub backend that keeps each request it answers, in the order it
+    consumed the rules, as ``{"template": ..., "prompt": ...}``."""
 
     def __init__(self, rules: list[StubRule]):
         super().__init__(rules)
+        # replaces the stub's lock with a reentrant one: ``send`` holds it
+        # around the stub's own ``send``, which takes it again
+        self._lock = threading.RLock()
         self.log: list[dict] = []
 
     def send(self, template, prompt, variables, temperature, max_tokens):
-        result = super().send(template, prompt, variables, temperature, max_tokens)
-        self.log.append({"template": template, "prompt": prompt})
+        with self._lock:
+            result = super().send(template, prompt, variables, temperature, max_tokens)
+            self.log.append({"template": template, "prompt": prompt})
         return result
 
 

@@ -1,5 +1,8 @@
 import json
 import re
+import sys
+import threading
+import time
 from importlib import resources
 
 import pytest
@@ -14,7 +17,7 @@ from subhop.errors import (
     StubExhausted,
     SubhopError,
 )
-from subhop.gateway import ChatRequest, Gateway
+from subhop.gateway import BackendResult, Budget, ChatRequest, Gateway
 from subhop.remote import RemoteBackend
 from subhop.stub import StubBackend, load_stub_script, rule
 from subhop.templates import TEMPLATE_NAMES, TemplateRegistry
@@ -176,6 +179,51 @@ def test_budget_views_are_independent():
     b.complete(req)
     with pytest.raises(BudgetExceeded):
         a.complete(req)
+
+
+class _YieldingCount(int):
+    """A count whose sum gives up the interpreter lock, so that a
+    read-then-write of it that no lock guards loses updates."""
+
+    def __add__(self, other):
+        time.sleep(0)
+        return _YieldingCount(int(self) + other)
+
+
+def test_budget_admits_exactly_its_limit_across_threads():
+    # a fallback spends one budget from two threads; a lost update of the
+    # call count would admit more calls than the limit, or miscount tokens
+    limit, threads, attempts = 600, 8, 100
+    budget = Budget(limit, *(_YieldingCount(0) for _ in range(3)))
+    spent, refused = [0] * threads, [0] * threads
+    result = BackendResult(text="x", prompt_tokens=3, completion_tokens=2, attempts=1)
+    start = threading.Barrier(threads)
+
+    def spend(slot: int) -> None:
+        start.wait(timeout=10)
+        for _ in range(attempts):
+            try:
+                budget.spend()
+            except BudgetExceeded:
+                refused[slot] += 1
+                continue
+            budget.record(result)
+            spent[slot] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=spend, args=(slot,)) for slot in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert sum(spent) == budget.calls == limit
+    assert sum(refused) == threads * attempts - limit
+    assert (budget.prompt_tokens, budget.completion_tokens) == (3 * limit, 2 * limit)
 
 
 def test_load_templates_registry_of_six():

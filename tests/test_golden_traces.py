@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import groupby
 
 import pytest
 
@@ -89,7 +90,18 @@ def _sha(data: bytes) -> str:
 
 
 def _prompts(gateway) -> bytes:
-    return json.dumps(gateway.backend.log, ensure_ascii=False, indent=2).encode("utf-8")
+    """The prompts the stub answered, in send order, except within a
+    fallback's document answer and extraction, which may go out together:
+    each run of consecutive entries of those two templates is put in a
+    stable order with ``answer_from_docs`` first."""
+    log = []
+    pair = ("answer_from_docs", "extract_triples")
+    for overlapped, run in groupby(gateway.backend.log,
+                                   key=lambda entry: entry["template"] in pair):
+        if overlapped:
+            run = sorted(run, key=lambda entry: entry["template"] != "answer_from_docs")
+        log.extend(run)
+    return json.dumps(log, ensure_ascii=False, indent=2).encode("utf-8")
 
 
 def _graph_bytes(graph, directory) -> bytes:
