@@ -1,8 +1,8 @@
 """Benchmark harness: dataset loading, batch runs, EM/F1 reports.
 
-A run solves every example (optionally in parallel), scores each
-prediction, and aggregates means x100. Individual failures score zero and
-are flagged; a run never aborts on one bad question.
+A run solves every example (optionally in parallel), writes each trace as
+its example finishes, and aggregates EM/F1 means x100. An example that
+fails to solve scores zero and is flagged; a failed trace write stops the run.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 from .errors import ParseError, SubhopError
 from .metrics import exact_match, token_f1
 from .records import read_json, read_json_lines
-from .solver import QuestionTrace, write_trace
+from .solver import QuestionTrace, plain, write_trace
 
 logger = logging.getLogger(__name__)
 
@@ -64,16 +64,7 @@ class RunReport:
             "f1": self.f1,
             "config": self.config,
             "reference_scores": REFERENCE_SCORES,
-            "per_example": [
-                {
-                    "id": r.id,
-                    "prediction": r.prediction,
-                    "em": r.em,
-                    "f1": r.f1,
-                    "failed": r.failed,
-                }
-                for r in self.per_example
-            ],
+            "per_example": plain(self.per_example),
         }
 
 
@@ -162,45 +153,39 @@ def run_benchmark(
 ) -> RunReport:
     """Solve every example and aggregate EM/F1 (x100).
 
-    Results keep dataset order regardless of completion order; traces are
-    persisted per example when a trace directory is given.
+    Results keep dataset order regardless of completion order. Each trace
+    is written to ``trace_dir``, if given, as its example finishes. A
+    failing write raises: at ``parallelism=1``, before later examples run.
     """
     if not dataset:
         raise SubhopError("dataset has no examples")
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
 
-    def _one(example: QAExample) -> tuple[ExampleResult, QuestionTrace | None]:
+    def _one(example: QAExample) -> ExampleResult:
         try:
             trace = solve_fn(example)
         except Exception:
             logger.exception("solve failed for example %s", example.id)
-            return ExampleResult(example.id, "", em=0, f1=0.0, failed=True), None
+            return ExampleResult(example.id, "", em=0, f1=0.0, failed=True)
+        if trace_dir is not None:
+            write_trace(trace, trace_dir)
         prediction = trace.final_answer
-        return (
-            ExampleResult(
-                example.id,
-                prediction,
-                em=exact_match(prediction, example.gold_answers),
-                f1=token_f1(prediction, example.gold_answers),
-            ),
-            trace,
+        return ExampleResult(
+            example.id,
+            prediction,
+            em=exact_match(prediction, example.gold_answers),
+            f1=token_f1(prediction, example.gold_answers),
         )
 
     if parallelism == 1:
-        outcomes = [_one(example) for example in dataset]
+        results = [_one(example) for example in dataset]
     else:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(_one, dataset))
-
-    results = [result for result, _ in outcomes]
-    if trace_dir is not None:
-        for _, trace in outcomes:
-            if trace is not None:
-                write_trace(trace, trace_dir)
+            results = list(pool.map(_one, dataset))
 
     n = len(results)
-    report = RunReport(
+    return RunReport(
         dataset_name=dataset_name,
         n=n,
         em=100.0 * sum(r.em for r in results) / n,
@@ -208,7 +193,6 @@ def run_benchmark(
         per_example=results,
         config=config or {},
     )
-    return report
 
 
 def format_report_table(report: RunReport) -> str:

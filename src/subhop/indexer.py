@@ -2,9 +2,9 @@
 construction of the graph and its triple index.
 
 Indexing is best-effort per document: one document failing extraction is
-recorded in the report and never aborts the build. Insertion order is by
-corpus position regardless of extraction completion order, so rebuilding
-from the same corpus and script yields an identical graph.
+recorded in the report and never aborts the build. Triples are inserted
+as extractions return, in corpus order whatever order they finish in,
+so rebuilding from the same corpus and script yields an identical graph.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .embedders import Embedder
 from .errors import ParseError, StructuredParseError
@@ -192,8 +193,9 @@ def build_graph_index(
     workers: int = 1,
 ) -> tuple[KnowledgeGraph, VectorIndex, VectorIndex, IndexReport]:
     """Extract every document, build the deduplicated graph and its
-    triple index. The passage index comes back empty: the first fallback
-    embeds it (``Stores.passages``)."""
+    triple index, inserting each document's rows as its extraction returns,
+    in corpus order. The passage index comes back empty: the first
+    fallback embeds it (``Stores.passages``)."""
     report = IndexReport(documents=len(corpus.documents))
     graph = KnowledgeGraph()
 
@@ -204,22 +206,21 @@ def build_graph_index(
             logger.warning("extraction failed for document %s", doc.id)
             return None
 
-    if workers <= 1 or len(corpus.documents) <= 1:
-        extractions = [_extract(doc) for doc in corpus.documents]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            extractions = list(pool.map(_extract, corpus.documents))
+    def _extractions() -> Iterator[list[TripleRow] | None]:
+        if workers <= 1 or len(corpus.documents) <= 1:
+            yield from map(_extract, corpus.documents)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                yield from pool.map(_extract, corpus.documents)
 
-    for doc, rows in zip(corpus.documents, extractions):
+    for doc, rows in zip(corpus.documents, _extractions()):
         if rows is None:
             report.failures.append(f"doc:{doc.id}")
             continue
-        for head, relation, tail in rows:
-            report.triples_extracted += 1
-            _, inserted = graph.insert(head, relation, tail, provenance=f"doc:{doc.id}", step=0)
-            if inserted:
-                report.stored += 1
-            else:
-                report.duplicates += 1
+        report.triples_extracted += len(rows)
+        for row in rows:
+            _, inserted = graph.insert(*row, provenance=f"doc:{doc.id}", step=0)
+            report.stored += inserted
+    report.duplicates = report.triples_extracted - report.stored
     passage_index = VectorIndex(dimension=embedder.dimension)
     return graph, embed_triples(graph, embedder), passage_index, report

@@ -399,8 +399,8 @@ def trace_to_dict(trace: QuestionTrace) -> dict:
         "question": trace.question,
         "status": trace.status,
         "error": trace.error,
-        "plan": _plain(trace.plan),
-        "sub_answers": _plain(trace.sub_answers),
+        "plan": plain(trace.plan),
+        "sub_answers": plain(trace.sub_answers),
         "memory": [
             {
                 "step": step,
@@ -421,15 +421,15 @@ def trace_to_dict(trace: QuestionTrace) -> dict:
     }
 
 
-def _plain(value):
+def plain(value):
     """``dataclasses.asdict`` without its deep copy: a scalar is kept, a
     list or tuple becomes a list and a dataclass a dict in field
-    declaration order. A trace holds nothing else."""
+    declaration order. A trace and a report row hold nothing else."""
     if type(value) in (str, int, float, bool, type(None)):
         return value
     if isinstance(value, (list, tuple)):
-        return [_plain(item) for item in value]
-    return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+        return [plain(item) for item in value]
+    return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
 
 
 def trace_to_json(trace: QuestionTrace) -> str:
@@ -437,10 +437,15 @@ def trace_to_json(trace: QuestionTrace) -> str:
 
 
 def write_trace(trace: QuestionTrace, directory: str | Path) -> Path:
-    root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    path = root / f"{trace.question_id}.json"
-    path.write_text(trace_to_json(trace), encoding="utf-8")
+    """Write ``<question id>.json`` whole or not at all, through a ``.json.tmp`` file."""
+    path = Path(directory) / f"{trace.question_id}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        partial.write_text(trace_to_json(trace), encoding="utf-8")
+        partial.replace(path)
+    finally:
+        partial.unlink(missing_ok=True)  # gone already unless the write failed
     return path
 
 

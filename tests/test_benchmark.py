@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ from subhop.benchmark import (
     write_report_files,
 )
 from subhop.errors import ParseError, SubhopError
-from subhop.solver import QuestionTrace
+from subhop.solver import QuestionTrace, validate_trace_dict
 
 
 def _write(path, text):
@@ -160,6 +161,66 @@ def test_traces_persisted_next_to_report(tmp_path):
     table = table_path.read_text()
     assert "reference (hotpotqa, n=1000)" in table
     assert "56.00" in table and "64.30" in table
+
+
+def _own_trace(example):
+    return QuestionTrace(question_id=example.id, question=example.question,
+                         final_answer=example.gold_answers[0], status="ok")
+
+
+def test_each_trace_is_written_before_the_next_question_is_solved(tmp_path):
+    traces = tmp_path / "traces"
+    dataset = _dataset()
+
+    def solve_fn(example):
+        k = dataset.index(example)
+        if k > 0:  # a missing or invalid trace raises here and flags the example failed
+            previous = traces / f"{dataset[k - 1].id}.json"
+            validate_trace_dict(json.loads(previous.read_text(encoding="utf-8")))
+        return _own_trace(example)
+
+    report = run_benchmark(dataset, solve_fn, parallelism=1, trace_dir=traces)
+    assert [r.failed for r in report.per_example] == [False] * 4
+
+
+def test_a_failing_trace_write_stops_a_serial_run(tmp_path, monkeypatch):
+    solved = []
+
+    def solve_fn(example):
+        solved.append(example.id)
+        return _own_trace(example)
+
+    def no_space(self, text, encoding=None):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("pathlib.Path.write_text", no_space)
+    with pytest.raises(OSError, match="No space left"):
+        run_benchmark(_dataset(), solve_fn, parallelism=1, trace_dir=tmp_path / "traces")
+    assert solved == ["1"]
+    assert list((tmp_path / "traces").iterdir()) == []
+
+
+def test_a_failing_question_leaves_the_others_traces_streaming(tmp_path):
+    traces = tmp_path / "traces"
+    dataset = [QAExample(str(i), f"q{i}", [f"answer {i}"]) for i in range(8)]
+    others = {f"{e.id}.json" for e in dataset if e.id != "2"}
+    waited = {}
+
+    def solve_fn(example):
+        if example.id != "2":
+            return _own_trace(example)
+        # fails only once every other question's trace is on disk, which
+        # happens only if traces are written while the run goes on
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline and not others <= {p.name for p in traces.glob("*")}:
+            time.sleep(0.005)
+        waited["saw_all"] = others <= {p.name for p in traces.glob("*")}
+        raise RuntimeError("boom")
+
+    report = run_benchmark(dataset, solve_fn, parallelism=4, trace_dir=traces)
+    assert waited == {"saw_all": True}
+    assert [r.id for r in report.per_example if r.failed] == ["2"]
+    assert sorted(p.name for p in traces.iterdir()) == sorted(others)
 
 
 def test_reference_scores_documented_values():

@@ -298,6 +298,27 @@ def test_eval_prints_em_f1(env, capsys):
     assert traces == ["q0.json", "q1.json", "q2.json", "q3.json"]
 
 
+def test_a_trace_write_that_fails_partway_leaves_no_file_and_exits_4(env, capsys, monkeypatch):
+    dataset = _eval_fixture(env)
+    assert do_index(env) == 0
+    capsys.readouterr()
+    write_text = Path.write_text
+
+    def half_then_no_space(self, text, encoding=None):
+        if self.parent.name != "traces":
+            return write_text(self, text, encoding=encoding)
+        with open(self, "w", encoding=encoding) as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", half_then_no_space)
+    code = run(base_args(env, "ask_script") + ["eval", "--dataset", str(dataset)])
+    assert code == 4
+    assert "No space left on device" in capsys.readouterr().err
+    assert list((env["runs"] / "traces").iterdir()) == []
+    assert not (env["runs"] / "report.json").exists()
+
+
 def test_eval_unknown_format_exits_2(env):
     dataset = _eval_fixture(env)
     do_index(env)

@@ -13,6 +13,7 @@ from subhop.indexer import (
     split_for_extraction,
     validate_triple_rows,
 )
+from subhop.kg import KnowledgeGraph
 from subhop.stores import Stores, load_stores, save_stores
 from subhop.stub import rule
 from subhop.vector import verbalize_triple
@@ -216,6 +217,31 @@ def test_concurrent_extraction_preserves_corpus_order():
     ]
     graph_par, *_ = build_graph_index(corpus, stub_gateway(rules2), embedder, workers=4)
     assert graph_seq == graph_par
+
+
+def test_each_document_is_inserted_before_the_next_is_extracted(monkeypatch):
+    corpus = _corpus([{"id": f"d{i}", "title": "", "text": f"doc number {i}"} for i in range(3)])
+    gw = stub_gateway([
+        rule("extract_triples", [[f"E{i}", "in", f"doc{i}"], [f"F{i}", "in", f"doc{i}"]],
+             contains=f"doc number {i}")
+        for i in range(3)
+    ])
+    events = []
+    send, insert = gw.backend.send, KnowledgeGraph.insert
+
+    def spy_send(template, prompt, variables, *args):
+        events.append(("send", variables["document"][-1]))
+        return send(template, prompt, variables, *args)
+
+    def spy_insert(self, head, relation, tail, provenance, step):
+        events.append(("insert", provenance[-1]))
+        return insert(self, head, relation, tail, provenance, step)
+
+    monkeypatch.setattr(gw.backend, "send", spy_send)
+    monkeypatch.setattr(KnowledgeGraph, "insert", spy_insert)
+    build_graph_index(corpus, gw, HashedBagEmbedder(dimension=16), workers=1)
+    assert events == [event for i in "012"
+                      for event in [("send", i), ("insert", i), ("insert", i)]]
 
 
 def test_snapshot_pins_the_corpus_bytes_that_were_parsed(tmp_path):
